@@ -4,12 +4,12 @@ Subcommands::
 
     p2f gysin solve --tower 0 --box -1:2 [--pad N] [--json]
     p2f knot correction --alexander "-1;1" --signature -2 --surgery +1
-    p2f knot batch --csv knots.csv [--jobs 4] [--json]
+    p2f knot batch --csv knots.csv [--json]
     p2f homalg triangle --file bundle.json [--json]
     p2f homalg ss --file filtered.json [--r-max N] [--json]
     p2f blowup -k 3 [--json]
     p2f catalog Poincare | p2f catalog --list
-    p2f verify paper [--jobs 4] [--json]
+    p2f verify paper [--json]
 
 Exit codes: 0 on success (WARN included), 1 on usage errors, 2 on
 validation failures or verification FAILs. ``--json`` switches any
@@ -24,7 +24,6 @@ import csv
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -250,12 +249,7 @@ def _batch_one(row: dict) -> dict:
 
 
 def _cmd_knot_batch(args) -> int:
-    rows = _read_knot_rows(args.csv)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_batch_one, rows))
-    else:
-        reports = [_batch_one(r) for r in rows]
+    reports = [_batch_one(r) for r in _read_knot_rows(args.csv)]
     if args.json:
         _emit_json({"knots": reports})
         return 0
@@ -394,7 +388,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    report = run_verify(jobs=args.jobs)
+    report = run_verify()
     if args.json:
         _emit_json(report.to_json())
         return 0 if report.ok else 2
@@ -447,7 +441,6 @@ def _build_parser() -> _Parser:
     kc.set_defaults(func=_cmd_knot_correction)
     kb = ksub.add_parser("batch", help="process a CSV of knots")
     kb.add_argument("--csv", required=True, help="columns: name,signature,alexander,arf,surgery")
-    kb.add_argument("--jobs", type=int, default=1)
     kb.add_argument("--json", action="store_true")
     kb.set_defaults(func=_cmd_knot_batch)
 
@@ -477,7 +470,6 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="verification sweeps")
     vsub = v.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     vp = vsub.add_parser("paper", help="run every deterministic check group")
-    vp.add_argument("--jobs", type=int, default=1)
     vp.add_argument("--json", action="store_true")
     vp.set_defaults(func=_cmd_verify_paper)
 

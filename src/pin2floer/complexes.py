@@ -3,8 +3,13 @@
 Everything is homologically graded with differentials of degree -1 and
 integer degrees. The pieces:
 
-* ``GradedComplex`` / ``ChainMap`` / ``Homotopy`` -- validated containers
-  (d^2 = 0 and the chain-map identity are checked at construction).
+* ``GradedComplex`` -- a validated container (d^2 = 0 is checked at
+  construction).
+* ``GradedMap`` -- the one block store for degree-homogeneous maps: source
+  and target dimensions, degree, blocks indexed by source degree, shape
+  checks naming the degree, zero-block dropping and ``block_at``.
+  ``Homotopy`` adds the source and target complexes; ``ChainMap`` is a
+  homotopy whose dF + Fd vanishes, checked at construction.
 * ``mapping_cone`` and ``iterated_mapping_cone`` -- the one- and two-step
   cone constructions, the latter taking (f1, f2, H1) with
   d3 H1 + H1 d1 = f2 f1.
@@ -16,8 +21,8 @@ integer degrees. The pieces:
   degrees).
 * ``assemble_monopole_complexes`` -- builds the three flavors of monopole
   complex from the eight block maps and validates d^2 = 0.
-* ``cone_module_action`` / ``iterated_cone_module_action`` -- extends
-  compatible module actions on the pieces to the cones.
+* ``iterated_cone_module_action`` -- extends compatible module actions on
+  the pieces to the two-step cone.
 * ``FilteredComplex`` / ``filtered_pages`` -- exact spectral-sequence pages
   of a filtered complex, plus the six-column toy model whose pages collapse
   at E^4 under invertible diagonal blocks.
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .gf2 import ContractError, F2Matrix
 
@@ -49,7 +54,6 @@ __all__ = [
     "check_exact_triangle",
     "complex_from_json",
     "complex_to_json",
-    "cone_module_action",
     "filtered_from_json",
     "filtered_pages",
     "filtered_to_json",
@@ -69,8 +73,6 @@ __all__ = [
     "triangle_detect",
 ]
 
-Degree = Union[int, "object"]  # ints for complexes; Fractions welcome in GradedMap
-
 
 # ---------------------------------------------------------------------------
 # Complexes and maps
@@ -82,7 +84,7 @@ class GradedComplex:
 
     __slots__ = ("dims", "d")
 
-    def __init__(self, dims: Mapping[int, int], d: Mapping[int, F2Matrix], check: bool = True):
+    def __init__(self, dims: Mapping[int, int], d: Mapping[int, F2Matrix]):
         clean_dims = {int(k): int(n) for k, n in dims.items() if int(n) > 0}
         clean_d: dict[int, F2Matrix] = {}
         for k, m in d.items():
@@ -96,10 +98,9 @@ class GradedComplex:
                 clean_d[k] = m
         object.__setattr__(self, "dims", clean_dims)
         object.__setattr__(self, "d", clean_d)
-        if check:
-            for k in list(clean_d) + [k + 1 for k in clean_d]:
-                if not self.d_at(k - 1).mul(self.d_at(k)).is_zero():
-                    raise ValueError(f"d^2 != 0 at degree {k}")
+        for k in list(clean_d) + [k + 1 for k in clean_d]:
+            if not self.d_at(k - 1).mul(self.d_at(k)).is_zero():
+                raise ValueError(f"d^2 != 0 at degree {k}")
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("GradedComplex is immutable")
@@ -139,59 +140,52 @@ class GradedComplex:
         return f"GradedComplex(dims={dict(sorted(self.dims.items()))})"
 
 
-class ChainMap:
-    """A chain map between complexes; blocks indexed by source degree."""
+class GradedMap:
+    """A degree-homogeneous linear map between graded F2 spaces.
 
-    __slots__ = ("source", "target", "degree", "blocks")
+    ``src`` and ``tgt`` are degree -> dimension mappings; blocks are indexed
+    by source degree and all-zero blocks are dropped. Degrees may be ints or
+    Fractions, as long as they are mutually comparable.
+    """
 
-    def __init__(
-        self,
-        source: GradedComplex,
-        target: GradedComplex,
-        blocks: Mapping[int, F2Matrix],
-        degree: int = 0,
-        check: bool = True,
-    ):
-        clean: dict[int, F2Matrix] = {}
-        for k, m in blocks.items():
-            k = int(k)
-            want = (target.dim_at(k + degree), source.dim_at(k))
+    __slots__ = ("src", "tgt", "degree", "blocks")
+    _noun = "graded-map"
+
+    def __init__(self, src: Mapping, tgt: Mapping, degree, blocks: Mapping):
+        src = {k: int(n) for k, n in src.items() if int(n) > 0}
+        tgt = {k: int(n) for k, n in tgt.items() if int(n) > 0}
+        self._store(src, tgt, degree, blocks.items())
+
+    def _store(self, src: dict, tgt: dict, degree, items: Iterable) -> None:
+        clean = {}
+        for k, m in items:
+            want = (tgt.get(k + degree, 0), src.get(k, 0))
             if m.shape != want:
                 raise ContractError(
-                    f"map block at degree {k} has shape {m.shape}, expected {want}"
+                    f"{self._noun} block at degree {k} has shape {m.shape}, expected {want}"
                 )
             if m.rows and m.cols and not m.is_zero():
                 clean[k] = m
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree", int(degree))
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "blocks", clean)
-        if check:
-            for k in self._relevant_degrees():
-                lhs = target.d_at(k + degree).mul(self.block_at(k))
-                rhs = self.block_at(k - 1).mul(source.d_at(k))
-                if lhs != rhs:
-                    raise ValueError(f"chain-map identity fails at degree {k}")
 
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ChainMap is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _relevant_degrees(self) -> list[int]:
-        ks = set(self.source.dims) | set(self.blocks)
-        ks |= {k + 1 for k in ks}
-        return sorted(ks)
-
-    def block_at(self, k: int) -> F2Matrix:
+    def block_at(self, k) -> F2Matrix:
         m = self.blocks.get(k)
         if m is None:
-            return F2Matrix.zero(self.target.dim_at(k + self.degree), self.source.dim_at(k))
+            return F2Matrix.zero(self.tgt.get(k + self.degree, 0), self.src.get(k, 0))
         return m
 
 
-class Homotopy:
-    """Degree +d block collection with no identity requirement of its own."""
+class Homotopy(GradedMap):
+    """Degree +d block collection between complexes, with no identity of its own."""
 
-    __slots__ = ("source", "target", "degree", "blocks")
+    __slots__ = ("source", "target")
+    _noun = "homotopy"
 
     def __init__(
         self,
@@ -200,29 +194,38 @@ class Homotopy:
         blocks: Mapping[int, F2Matrix],
         degree: int = 1,
     ):
-        clean: dict[int, F2Matrix] = {}
-        for k, m in blocks.items():
-            k = int(k)
-            want = (target.dim_at(k + degree), source.dim_at(k))
-            if m.shape != want:
-                raise ContractError(
-                    f"homotopy block at degree {k} has shape {m.shape}, expected {want}"
-                )
-            if m.rows and m.cols and not m.is_zero():
-                clean[k] = m
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "blocks", clean)
+        self._store(
+            source.dims, target.dims, int(degree), ((int(k), m) for k, m in blocks.items())
+        )
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Homotopy is immutable")
 
-    def block_at(self, k: int) -> F2Matrix:
-        m = self.blocks.get(k)
-        if m is None:
-            return F2Matrix.zero(self.target.dim_at(k + self.degree), self.source.dim_at(k))
-        return m
+def _dh(h: Homotopy, k: int) -> F2Matrix:
+    """The block d_tgt*H_k + H_{k-1}*d_src of dH + Hd at source degree k."""
+    return h.target.d_at(k + h.degree).mul(h.block_at(k)) + h.block_at(k - 1).mul(
+        h.source.d_at(k)
+    )
+
+
+class ChainMap(Homotopy):
+    """A chain map between complexes (dF + Fd = 0); blocks indexed by source degree."""
+
+    __slots__ = ()
+    _noun = "map"
+
+    def __init__(
+        self,
+        source: GradedComplex,
+        target: GradedComplex,
+        blocks: Mapping[int, F2Matrix],
+        degree: int = 0,
+    ):
+        super().__init__(source, target, blocks, degree)
+        ks = set(source.dims) | set(self.blocks)
+        for k in sorted(ks | {k + 1 for k in ks}):
+            if not _dh(self, k).is_zero():
+                raise ValueError(f"chain-map identity fails at degree {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,45 +323,8 @@ def homology(c: GradedComplex) -> Homology:
 
 
 # ---------------------------------------------------------------------------
-# Graded maps (no differential), exactness checking
+# Exactness checking and induced maps
 # ---------------------------------------------------------------------------
-
-
-class GradedMap:
-    """A degree-homogeneous linear map between graded F2 spaces.
-
-    ``src`` and ``tgt`` are degree -> dimension mappings; blocks are indexed
-    by source degree. Degrees may be ints or Fractions, as long as they are
-    mutually comparable.
-    """
-
-    __slots__ = ("src", "tgt", "degree", "blocks")
-
-    def __init__(self, src: Mapping, tgt: Mapping, degree, blocks: Mapping):
-        src = {k: int(n) for k, n in src.items() if int(n) > 0}
-        tgt = {k: int(n) for k, n in tgt.items() if int(n) > 0}
-        clean = {}
-        for k, m in blocks.items():
-            want = (tgt.get(k + degree, 0), src.get(k, 0))
-            if m.shape != want:
-                raise ContractError(
-                    f"graded-map block at degree {k} has shape {m.shape}, expected {want}"
-                )
-            if m.rows and m.cols and not m.is_zero():
-                clean[k] = m
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "tgt", tgt)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "blocks", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("GradedMap is immutable")
-
-    def block_at(self, k) -> F2Matrix:
-        m = self.blocks.get(k)
-        if m is None:
-            return F2Matrix.zero(self.tgt.get(k + self.degree, 0), self.src.get(k, 0))
-        return m
 
 
 @dataclass(frozen=True)
@@ -505,9 +471,7 @@ def _check_homotopy_identity(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> None:
     if h1.source != c1 or h1.target != c3:
         raise ContractError("homotopy must run from the first complex to the third")
     for k in sorted(set(c1.dims) | {k + 1 for k in c1.dims}):
-        lhs = c3.d_at(k + 1).mul(h1.block_at(k)) + h1.block_at(k - 1).mul(c1.d_at(k))
-        rhs = f2.block_at(k).mul(f1.block_at(k))
-        if lhs != rhs:
+        if _dh(h1, k) != f2.block_at(k).mul(f1.block_at(k)):
             raise ValueError(
                 f"homotopy identity d3*H1 + H1*d1 = f2*f1 fails at degree {k}"
             )
@@ -586,23 +550,12 @@ def triangle_detect(f1: ChainMap, f2: ChainMap, h1: Homotopy):
     # acyclicity of the cone of g forces delta to be an isomorphism
     inv_blocks = {}
     for k in sorted(set(hc3.dims()) | set(hcone.dims())):
-        m = delta.block_at(k)
-        if m.rows != m.cols or m.rank() != m.rows:
+        try:
+            inv_blocks[k] = delta.block_at(k).inverse()
+        except ContractError:
             raise AssertionError(
                 "comparison map is not an isomorphism despite an acyclic cone"
-            )
-        if not m.rows:
-            continue
-        cols = []
-        for i in range(m.rows):
-            x = m.solve_mask(1 << i)
-            cols.append(x)
-        rows = [0] * m.rows
-        for j, cmask in enumerate(cols):
-            for i in range(m.rows):
-                if (cmask >> i) & 1:
-                    rows[i] |= 1 << j
-        inv_blocks[k] = F2Matrix(m.rows, m.rows, rows)
+            ) from None
     delta_inv = GradedMap(hc3.dims(), hcone.dims(), 0, inv_blocks)
 
     proj_star = induced_map(proj, hcone, hc1)
@@ -630,10 +583,6 @@ class AssemblyError(ValueError):
     pass
 
 
-def _gmap(src: Mapping[int, int], tgt: Mapping[int, int], degree: int, blocks) -> GradedMap:
-    return GradedMap(src, tgt, degree, blocks)
-
-
 def assemble_monopole_complexes(
     o_dims: Mapping[int, int],
     s_dims: Mapping[int, int],
@@ -656,14 +605,14 @@ def assemble_monopole_complexes(
     three assembled differentials have degree -1. Each output complex is
     validated (d^2 = 0) and an AssemblyError names the offender otherwise.
     """
-    oo = _gmap(o_dims, o_dims, -1, d_oo)
-    os_ = _gmap(o_dims, s_dims, -1, d_os)
-    uo = _gmap(u_dims, o_dims, -1, d_uo)
-    us = _gmap(u_dims, s_dims, -1, d_us)
-    bss = _gmap(s_dims, s_dims, -1, dbar_ss)
-    bsu = _gmap(s_dims, u_dims, 0, dbar_su)
-    bus = _gmap(u_dims, s_dims, -2, dbar_us)
-    buu = _gmap(u_dims, u_dims, -1, dbar_uu)
+    oo = GradedMap(o_dims, o_dims, -1, d_oo)
+    os_ = GradedMap(o_dims, s_dims, -1, d_os)
+    uo = GradedMap(u_dims, o_dims, -1, d_uo)
+    us = GradedMap(u_dims, s_dims, -1, d_us)
+    bss = GradedMap(s_dims, s_dims, -1, dbar_ss)
+    bsu = GradedMap(s_dims, u_dims, 0, dbar_su)
+    bus = GradedMap(u_dims, s_dims, -2, dbar_us)
+    buu = GradedMap(u_dims, u_dims, -1, dbar_uu)
 
     ks = set(o_dims) | set(s_dims) | set(u_dims)
     ks |= {k + 1 for k in ks} | {k - 1 for k in ks}
@@ -726,44 +675,6 @@ def assemble_monopole_complexes(
 # ---------------------------------------------------------------------------
 
 
-def cone_module_action(
-    f1: ChainMap, v1: ChainMap, v2: ChainMap, hmix: Homotopy
-) -> ChainMap:
-    """Extend compatible endomorphism actions to the cone of f1.
-
-    Needs d2*Hmix + Hmix*d1 = f1*V1 + V2*f1 (Hmix one degree above the
-    common degree of V1 and V2); the action on the cone is then the
-    upper-triangular [[V2, Hmix], [0, V1]].
-    """
-    vdeg = v1.degree
-    if v2.degree != vdeg:
-        raise ContractError(f"action degrees differ: {v1.degree} vs {v2.degree}")
-    if hmix.degree != vdeg + 1:
-        raise ContractError(
-            f"mixing homotopy must have degree {vdeg + 1}, got {hmix.degree}"
-        )
-    c1, c2 = f1.source, f1.target
-    if v1.source != c1 or v1.target != c1 or v2.source != c2 or v2.target != c2:
-        raise ContractError("actions must be endomorphism-shaped on the cone pieces")
-    for k in sorted(set(c1.dims) | {k + 1 for k in c1.dims}):
-        lhs = c2.d_at(k + vdeg + 1).mul(hmix.block_at(k)) + hmix.block_at(k - 1).mul(c1.d_at(k))
-        rhs = f1.block_at(k + vdeg).mul(v1.block_at(k)) + v2.block_at(k).mul(f1.block_at(k))
-        if lhs != rhs:
-            raise ValueError(f"action mixing identity fails at degree {k}")
-    cone, _, _ = mapping_cone(f1)
-    blocks = {}
-    for k in cone.dims:
-        blocks[k] = F2Matrix.block(
-            [
-                [v2.block_at(k), hmix.block_at(k - 1)],
-                [None, v1.block_at(k - 1)],
-            ],
-            row_dims=[c2.dim_at(k + vdeg), c1.dim_at(k + vdeg - 1)],
-            col_dims=[c2.dim_at(k), c1.dim_at(k - 1)],
-        )
-    return ChainMap(cone, cone, blocks, degree=vdeg)
-
-
 def iterated_cone_module_action(
     f1: ChainMap,
     f2: ChainMap,
@@ -794,24 +705,21 @@ def iterated_cone_module_action(
     c1, c2, c3 = f1.source, f1.target, f2.target
     # pairwise identities
     for k in sorted(set(c1.dims) | {k + 1 for k in c1.dims}):
-        lhs = c2.d_at(k + vdeg + 1).mul(hmix1.block_at(k)) + hmix1.block_at(k - 1).mul(c1.d_at(k))
         rhs = f1.block_at(k + vdeg).mul(v1.block_at(k)) + v2.block_at(k).mul(f1.block_at(k))
-        if lhs != rhs:
+        if _dh(hmix1, k) != rhs:
             raise ValueError(f"first mixing identity fails at degree {k}")
     for k in sorted(set(c2.dims) | {k + 1 for k in c2.dims}):
-        lhs = c3.d_at(k + vdeg + 1).mul(hmix2.block_at(k)) + hmix2.block_at(k - 1).mul(c2.d_at(k))
         rhs = f2.block_at(k + vdeg).mul(v2.block_at(k)) + v3.block_at(k).mul(f2.block_at(k))
-        if lhs != rhs:
+        if _dh(hmix2, k) != rhs:
             raise ValueError(f"second mixing identity fails at degree {k}")
     for k in sorted(set(c1.dims) | {k + 1 for k in c1.dims}):
-        lhs = c3.d_at(k + vdeg + 2).mul(g1.block_at(k)) + g1.block_at(k - 1).mul(c1.d_at(k))
         rhs = (
             f2.block_at(k + vdeg + 1).mul(hmix1.block_at(k))
             + hmix2.block_at(k).mul(f1.block_at(k))
             + h1.block_at(k + vdeg).mul(v1.block_at(k))
             + v3.block_at(k + 1).mul(h1.block_at(k))
         )
-        if lhs != rhs:
+        if _dh(g1, k) != rhs:
             raise ValueError(f"corner identity fails at degree {k}")
     big = iterated_mapping_cone(f1, f2, h1)
     blocks = {}
@@ -1038,19 +946,6 @@ def mainiso_toy_model(grouped: bool = False) -> FilteredComplex:
 # ---------------------------------------------------------------------------
 
 
-def _invert(m: F2Matrix) -> F2Matrix:
-    n = m.rows
-    rows = [0] * n
-    for i in range(n):
-        x = m.solve_mask(1 << i)
-        if x is None:
-            raise ContractError("matrix is not invertible")
-        for r in range(n):
-            if (x >> r) & 1:
-                rows[r] |= 1 << i
-    return F2Matrix(n, n, rows)
-
-
 def _random_invertible(rng: random.Random, n: int) -> tuple[F2Matrix, F2Matrix]:
     if n == 0:
         m = F2Matrix.identity(0)
@@ -1058,7 +953,7 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[F2Matrix, F2Matrix]:
     while True:
         m = F2Matrix(n, n, [rng.getrandbits(n) for _ in range(n)])
         if m.rank() == n:
-            return m, _invert(m)
+            return m, m.inverse()
 
 
 def random_complex(
@@ -1115,22 +1010,18 @@ def _random_block(rng: random.Random, rows: int, cols: int, density: float = 0.5
 
 def _nullhomotopic_parts(
     rng: random.Random, c: GradedComplex, d_: GradedComplex
-) -> tuple[dict[int, F2Matrix], ChainMap]:
-    """Random degree +1 blocks g and the chain map dg + gd they generate."""
-    g = {
-        k: _random_block(rng, d_.dim_at(k + 1), c.dim_at(k))
-        for k in c.dims
-        if d_.dim_at(k + 1)
-    }
-
-    def g_at(k: int) -> F2Matrix:
-        m = g.get(k)
-        return m if m is not None else F2Matrix.zero(d_.dim_at(k + 1), c.dim_at(k))
-
-    blocks = {}
-    for k in set(c.dims) | {k - 1 for k in c.dims}:
-        blocks[k] = d_.d_at(k + 1).mul(g_at(k)) + g_at(k - 1).mul(c.d_at(k))
-    f = ChainMap(c, d_, {k: m for k, m in blocks.items() if m.rows and m.cols}, degree=0)
+) -> tuple[Homotopy, ChainMap]:
+    """A random degree +1 homotopy g and the chain map dg + gd it generates."""
+    g = Homotopy(
+        c,
+        d_,
+        {
+            k: _random_block(rng, d_.dim_at(k + 1), c.dim_at(k))
+            for k in c.dims
+            if d_.dim_at(k + 1)
+        },
+    )
+    f = ChainMap(c, d_, {k: _dh(g, k) for k in set(c.dims) | {k - 1 for k in c.dims}})
     return g, f
 
 
@@ -1232,14 +1123,10 @@ def random_admissible_triple(
     g1, f1 = _nullhomotopic_parts(rng, c1, c2)
     g2, f2 = _nullhomotopic_parts(rng, c2, c3)
 
-    def g_at(g, src, tgt, k):
-        m = g.get(k)
-        return m if m is not None else F2Matrix.zero(tgt.dim_at(k + 1), src.dim_at(k))
-
     h_blocks = {}
     for k in c1.dims:
-        a = g_at(g2, c2, c3, k).mul(c2.d_at(k + 1)).mul(g_at(g1, c1, c2, k))
-        b = g_at(g2, c2, c3, k).mul(g_at(g1, c1, c2, k - 1)).mul(c1.d_at(k))
+        a = g2.block_at(k).mul(c2.d_at(k + 1)).mul(g1.block_at(k))
+        b = g2.block_at(k).mul(g1.block_at(k - 1)).mul(c1.d_at(k))
         h_blocks[k] = a + b
     h1 = Homotopy(c1, c3, h_blocks, degree=1)
     _check_homotopy_identity(f1, f2, h1)
@@ -1316,7 +1203,7 @@ def random_filtered_complex(
                 bits.append(b)
             m = F2Matrix(n, n, bits)
             if m.rank() == n:
-                return m, _invert(m)
+                return m, m.inverse()
 
     tri = {k: random_triangular(k) for k in degrees}
     d_final = {}

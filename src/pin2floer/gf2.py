@@ -3,7 +3,8 @@
 Matrices are immutable. Each row is stored as a Python int whose bit ``j``
 is the entry in column ``j``, so elimination is word-wide XOR and every
 routine is deterministic: pivots are always the first nonzero entry found
-in row-major scan order.
+in row-major scan order. ``rref`` is the one elimination loop; rank,
+kernel, solving and inverse all read its output.
 
 Intended scale is small dense problems (well under 10^3 x 10^3). Nothing
 here is sparse or clever, on purpose.
@@ -66,6 +67,15 @@ class F2Matrix:
     # -- construction ----------------------------------------------------
 
     @classmethod
+    def _wrap(cls, rows: int, cols: int, bits: Iterable[int]) -> "F2Matrix":
+        """Adopt row words already known to fit the shape, skipping the checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "bits", tuple(bits))
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "F2Matrix":
         rows = [list(r) for r in rows]
         if cols is None:
@@ -116,7 +126,7 @@ class F2Matrix:
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if self.shape != other.shape:
             raise ContractError(f"cannot add shapes {self.shape} and {other.shape}")
-        return F2Matrix(self.rows, self.cols, (a ^ b for a, b in zip(self.bits, other.bits)))
+        return F2Matrix._wrap(self.rows, self.cols, [a ^ b for a, b in zip(self.bits, other.bits)])
 
     def transpose(self) -> "F2Matrix":
         out = [0] * self.cols
@@ -125,7 +135,7 @@ class F2Matrix:
                 low = b & -b
                 out[low.bit_length() - 1] |= 1 << i
                 b ^= low
-        return F2Matrix(self.cols, self.rows, out)
+        return F2Matrix._wrap(self.cols, self.rows, out)
 
     def mul(self, other: "F2Matrix") -> "F2Matrix":
         """Matrix product self * other (self applied after other's rows)."""
@@ -143,7 +153,7 @@ class F2Matrix:
                 acc ^= other.bits[low.bit_length() - 1]
                 bb ^= low
             out.append(acc)
-        return F2Matrix(self.rows, other.cols, out)
+        return F2Matrix._wrap(self.rows, other.cols, out)
 
     __matmul__ = mul
 
@@ -206,39 +216,36 @@ class F2Matrix:
         return basis
 
     def solve_mask(self, target: int) -> Optional[int]:
-        """A particular solution x (bitmask) of self*x = target, or None."""
+        """A particular solution x (bitmask) of self*x = target, or None.
+
+        Reduces [self | target]; the target column takes a pivot exactly
+        when the system is inconsistent. Free variables are set to zero.
+        """
         if target >> self.rows:
             raise ContractError(f"target has bits outside {self.rows} coordinates")
-        work = list(self.bits)
-        aug = [(target >> i) & 1 for i in range(self.rows)]
-        piv: list[tuple[int, int]] = []  # (column, row index in work)
-        r = 0
-        for c in range(self.cols):
-            sel = None
-            for i in range(r, self.rows):
-                if (work[i] >> c) & 1:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            work[r], work[sel] = work[sel], work[r]
-            aug[r], aug[sel] = aug[sel], aug[r]
-            for i in range(self.rows):
-                if i != r and ((work[i] >> c) & 1):
-                    work[i] ^= work[r]
-                    aug[i] ^= aug[r]
-            piv.append((c, r))
-            r += 1
-            if r == self.rows:
-                break
-        for i in range(r, self.rows):
-            if aug[i]:
-                return None
+        n = self.cols
+        aug = F2Matrix._wrap(
+            self.rows, n + 1, (b | ((target >> i) & 1) << n for i, b in enumerate(self.bits))
+        )
+        pivots, rows = aug.rref()
+        if pivots and pivots[-1] == n:
+            return None
         x = 0
-        for c, i in piv:
-            if aug[i]:
+        for c, row in zip(pivots, rows):
+            if (row >> n) & 1:
                 x |= 1 << c
         return x
+
+    def inverse(self) -> "F2Matrix":
+        """The inverse matrix, from the reduced form of [self | I]."""
+        n = self.rows
+        if self.cols != n:
+            raise ContractError(f"cannot invert a non-square matrix of shape {self.shape}")
+        aug = F2Matrix._wrap(n, 2 * n, (b | 1 << (n + i) for i, b in enumerate(self.bits)))
+        pivots, rows = aug.rref()
+        if pivots != tuple(range(n)):
+            raise ContractError(f"matrix of shape {self.shape} is singular")
+        return F2Matrix._wrap(n, n, (row >> n for row in rows))
 
     # -- block assembly ---------------------------------------------------
 

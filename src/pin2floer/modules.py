@@ -35,7 +35,6 @@ __all__ = [
     "Tower",
     "WindowError",
     "as_grading",
-    "bar_tower",
     "classify_parity",
     "correction_terms_of",
     "dims",
@@ -49,7 +48,6 @@ __all__ = [
     "ring_mul",
     "standard_from_starts",
     "T_plus",
-    "V_plus",
 ]
 
 #: V-adic truncation order for ring arithmetic. Computations in this
@@ -349,16 +347,6 @@ def q_rank_profile(
 def T_plus(base: GradingLike) -> StructuredModule:
     """The step-2 plus tower T^+_base (the F[[U]]-side infinite tower)."""
     return StructuredModule(towers=(Tower(as_grading(base), 2, "plus"),))
-
-
-def V_plus(base: GradingLike) -> StructuredModule:
-    """The step-4 plus tower V^+_base."""
-    return StructuredModule(towers=(Tower(as_grading(base), 4, "plus"),))
-
-
-def bar_tower(base: GradingLike) -> Tower:
-    """A two-sided step-4 tower (window-only)."""
-    return Tower(as_grading(base), 4, "bar")
 
 
 def F_box(dim: int, deg: GradingLike, qsplit: bool = False) -> StructuredModule:

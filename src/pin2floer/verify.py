@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -572,27 +571,21 @@ _GROUPS = (
 )
 
 
-def _run_group(item) -> list[Row]:
-    name, fn = item
+def _run_group(name, fn) -> list[Row]:
     try:
         return fn()
     except Exception as e:  # a crashed group is a FAIL, not a crash
         return [Row(f"{name}/exception", name, "no exception", f"{type(e).__name__}: {e}", "FAIL")]
 
 
-def run_verify(jobs: int = 1) -> VerifyReport:
-    """Run every check group and collect the report.
+def run_verify() -> VerifyReport:
+    """Run every check group in order and collect the report.
 
-    ``jobs`` > 1 fans the groups out over a thread pool; row order stays
-    deterministic (group order, then emission order within the group).
+    Row order is deterministic: group order, then emission order within
+    the group.
     """
     t0 = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_group, _GROUPS))
-    else:
-        results = [_run_group(g) for g in _GROUPS]
     rows: list[Row] = []
-    for chunk in results:
-        rows.extend(chunk)
+    for name, fn in _GROUPS:
+        rows.extend(_run_group(name, fn))
     return VerifyReport(rows=tuple(rows), elapsed_s=time.perf_counter() - t0)

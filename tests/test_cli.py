@@ -92,18 +92,6 @@ def test_knot_batch(tmp_path, capsys):
     assert out[2].endswith("(mirrored)")
 
 
-def test_knot_batch_jobs_deterministic(tmp_path, capsys):
-    p = tmp_path / "knots.csv"
-    p.write_text(CSV_TEXT)
-    assert main(["knot", "batch", "--csv", str(p), "--json"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["knot", "batch", "--csv", str(p), "--json", "--jobs", "3"]) == 0
-    assert capsys.readouterr().out == serial
-    assert [k["name"] for k in json.loads(serial)["knots"]] == [
-        "trefoil", "figure-eight", "mirror-trefoil",
-    ]
-
-
 def test_knot_batch_bad_row(tmp_path, capsys):
     p = tmp_path / "knots.csv"
     p.write_text("name,signature,alexander,arf,surgery\nbad,-3,-1;1,,+1\n")
@@ -215,7 +203,7 @@ def test_verify_paper(capsys):
 
 
 def test_verify_paper_json(capsys):
-    assert main(["verify", "paper", "--json", "--jobs", "2"]) == 0
+    assert main(["verify", "paper", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["counts"]["FAIL"] == 0
     warn_anchors = {

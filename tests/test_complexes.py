@@ -62,6 +62,21 @@ def test_chain_map_identity_enforced():
         ChainMap(c, zero, {0: F2Matrix.identity(1), 1: F2Matrix.identity(1)})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c, m: GradedMap(c.dims, c.dims, 0, {3: m}),
+        lambda c, m: Homotopy(c, c, {3: m}, degree=1),
+        lambda c, m: ChainMap(c, c, {3: m}),
+    ],
+    ids=["GradedMap", "Homotopy", "ChainMap"],
+)
+def test_wrong_shape_block_names_degree(make):
+    c = GradedComplex({3: 1, 4: 2}, {})
+    with pytest.raises(ContractError, match=r"block at degree 3 has shape \(2, 2\)"):
+        make(c, F2Matrix.zero(2, 2))
+
+
 def test_homology_interval_vs_dot():
     # an interval (identity differential) is invisible; a dot survives
     interval = GradedComplex({0: 1, 1: 1}, {1: F2Matrix.identity(1)})

@@ -100,6 +100,8 @@ def test_solve_mask_roundtrip():
         if x is not None:
             hits += 1
             assert m.apply(x) == target
+        else:  # None only when no vector at all is a preimage
+            assert all(m.apply(y) != target for y in range(1 << 5))
     assert hits > 10  # random 5x5 over GF(2) is invertible ~30% of the time
 
 
@@ -170,3 +172,31 @@ def test_rref_reproduces_row_space(seed):
     for p, row in zip(pivots, reduced):
         assert (row >> p) & 1  # pivot entry set
         assert sum((r >> p) & 1 for r in reduced) == 1  # and cleared elsewhere
+
+
+def _random_invertible(rng: random.Random, n: int) -> F2Matrix:
+    """P*L*U with unit-triangular L, U: every invertible matrix has this form."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    p = F2Matrix(n, n, [1 << j for j in perm])
+    lower = F2Matrix(n, n, [rng.getrandbits(i) | 1 << i if i else 1 for i in range(n)])
+    upper = F2Matrix(n, n, [(rng.getrandbits(n - i - 1) << (i + 1)) | 1 << i for i in range(n)])
+    return p.mul(lower).mul(upper)
+
+
+@given(st.integers(0, 12), st.integers(0, 2**30))
+@settings(max_examples=80, deadline=None)
+def test_inverse_roundtrip(n, seed):
+    m = _random_invertible(random.Random(seed), n)
+    inv = m.inverse()
+    assert m.mul(inv) == F2Matrix.identity(n)
+    assert inv.mul(m) == F2Matrix.identity(n)
+
+
+def test_inverse_rejects_singular_and_non_square():
+    with pytest.raises(ContractError, match="singular"):
+        F2Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).inverse()
+    with pytest.raises(ContractError, match="singular"):
+        F2Matrix.zero(2, 2).inverse()
+    with pytest.raises(ContractError, match="non-square"):
+        F2Matrix.zero(2, 3).inverse()

