@@ -37,8 +37,7 @@ from .modules import (
     StandardModule,
     StructuredModule,
     T_plus,
-    dims,
-    q_rank_profile,
+    degree_kernel,
 )
 
 __all__ = [
@@ -113,21 +112,25 @@ def _strip_qsplit(m: StructuredModule) -> StructuredModule:
     return StructuredModule(towers=m.towers, boxes=boxes, links=m.links)
 
 
+def _validate_integral(m: StructuredModule, side: str) -> None:
+    """The recurrence runs over integer degrees; refuse anything else."""
+    for t in m.towers:
+        if t.base.denominator != 1:
+            raise GysinError(f"{side} tower base {t.base} is not an integer degree")
+    for b in m.boxes:
+        if b.deg.denominator != 1:
+            raise GysinError(
+                f"{side} box at non-integer degree {b.deg} is not supported here"
+            )
+
+
 def _validate_source(m: StructuredModule) -> None:
     steps = [t for t in m.towers if t.kind == "plus" and t.step == 2]
     if len(steps) != 1 or len(m.towers) != 1:
         raise GysinError(
             "the known side of a Gysin problem must be a single step-2 tower plus boxes"
         )
-    for b in m.boxes:
-        if b.deg.denominator != 1:
-            raise GysinError(f"box at non-integer degree {b.deg} is not supported here")
-    if m.towers[0].base.denominator != 1:
-        raise GysinError("tower base must be an integer degree")
-
-
-def _int_dims(mod: StructuredModule, lo: int, hi: int) -> dict[int, int]:
-    return {int(k): v for k, v in dims(mod, (lo, hi)).items()}
+    _validate_integral(m, "known-side")
 
 
 def feasibility_check(
@@ -140,18 +143,21 @@ def feasibility_check(
     Returns a GysinCertificate when every degree passes and the Q-rank
     stabilizes to the periodic tower template at the top of the window;
     otherwise the first failure as an Infeasible. qsplit boxes on the known
-    side are ignored (they cancel in pairs in this bookkeeping).
+    side are ignored (they cancel in pairs in this bookkeeping). Both sides
+    must have integer tower bases and box degrees: a GysinError naming the
+    first non-integer grading is raised otherwise, since the recurrence
+    steps through integer degrees and would misplace it.
     """
     m = _strip_qsplit(m)
     _validate_source(m)
+    _validate_integral(candidate, "candidate")
     if window is None:
         lo = int(min(m.support_min(), candidate.support_min())) - 4
         hi = int(max(m.feature_max(), candidate.feature_max())) + default_pad()
     else:
         lo, hi = int(window[0]), int(window[1])
-    s_dims = _int_dims(candidate, lo - 1, hi + 1)
-    m_dims = _int_dims(m, lo - 1, hi + 1)
-    t_prof = {int(k): v for k, v in q_rank_profile(candidate, (lo, hi + 1)).items()}
+    _d, s_dims, t_prof = degree_kernel(candidate, (lo - 1, hi + 1))
+    _d, m_dims, _q = degree_kernel(m, (lo - 1, hi + 1))
     x_dims: dict[int, int] = {}
     for b in candidate.boxes:
         x_dims[int(b.deg)] = x_dims.get(int(b.deg), 0) + b.dim
@@ -238,7 +244,9 @@ def oracle_solve(
     only be sustained by an unbounded cascade of further boxes, never by the
     towers. Survivors must lock onto the periodic template at the top and
     are each re-certified with feasibility_check. Raises GysinError when
-    nothing survives, or when the search exceeds its safety budget.
+    nothing survives, or when the search exceeds its node budget or its
+    survivor cap; each message names the window (lo, hi), and the budget
+    messages also give the count reached and the limit.
     """
     m = _strip_qsplit(m)
     _validate_source(m)
@@ -249,7 +257,7 @@ def oracle_solve(
     hi = int(m.feature_max()) + pad
     lo = smin - 4
     box_top = hi - 8  # no boxes in the top two periods: the tail must be pure tower
-    m_dims = _int_dims(m, lo - 1, hi + 1)
+    _d, m_dims, _q = degree_kernel(m, (lo - 1, hi + 1))
     box_degrees = {int(b.deg) for b in m.boxes if int(b.deg) <= box_top}
 
     found: dict[tuple, tuple[StandardModule, tuple[Box, ...]]] = {}
@@ -265,10 +273,7 @@ def oracle_solve(
                 except ValueError:
                     continue
                 skel = std.to_structured()
-                st_dims = _int_dims(skel, lo - 1, hi + 1)
-                t_prof = {
-                    int(k): v for k, v in q_rank_profile(skel, (lo, hi + 1)).items()
-                }
+                _d, st_dims, t_prof = degree_kernel(skel, (lo - 1, hi + 1))
 
                 # depth-first over degrees, state = (k, q_k, boxes so far)
                 stack = [(lo, 0, (), 0)]  # degree, q_k, boxes, s_{k-1}
@@ -276,8 +281,9 @@ def oracle_solve(
                     nodes += 1
                     if nodes > max_nodes:
                         raise GysinError(
-                            "candidate search exceeded its node budget; "
-                            "narrow the window or raise max_nodes"
+                            "candidate search exceeded its node budget "
+                            f"({nodes} nodes > max_nodes={max_nodes}) in window "
+                            f"[{lo}, {hi}]; narrow the window or raise max_nodes"
                         )
                     k, qk, boxes, s_prev = stack.pop()
                     if k > hi:
@@ -291,7 +297,9 @@ def oracle_solve(
                             found.setdefault(key, (std, boxes))
                             if len(found) > max_solutions:
                                 raise GysinError(
-                                    "candidate search found implausibly many survivors"
+                                    "candidate search found implausibly many "
+                                    f"survivors ({len(found)} > max_solutions="
+                                    f"{max_solutions}) in window [{lo}, {hi}]"
                                 )
                         continue
                     stk = st_dims.get(k, 0)
@@ -312,7 +320,7 @@ def oracle_solve(
                         stack.append((k + 1, qnext, nb, sk))
 
     if not found:
-        raise GysinError("no feasible Gysin partner")
+        raise GysinError(f"no feasible Gysin partner in window [{lo}, {hi}]")
     items = sorted(found.items(), key=lambda kv: kv[0])
     cands = []
     for _key, (std, boxes) in items:

@@ -15,7 +15,12 @@ actually occur:
   (alpha, beta, gamma); tower starts are (2*alpha, 2*beta+1, 2*gamma+2)
   and Q passes c-tower -> b-tower -> a-tower.
 
-Gradings are exact rationals (`fractions.Fraction`) throughout.
+Gradings are exact rationals (`fractions.Fraction`) throughout, and ring
+elements are exact in every power of V (there is no V-adic truncation).
+Per-degree dimensions and Q-ranks come from one integer kernel,
+``degree_kernel``, which counts in units of the common denominator of the
+window and the module's degrees; ``dims`` and ``q_rank_profile`` are its
+``Fraction``-keyed views.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 __all__ = [
-    "V_CUTOFF",
     "Box",
     "CorrectionTerms",
     "RingElement",
@@ -37,6 +41,7 @@ __all__ = [
     "as_grading",
     "classify_parity",
     "correction_terms_of",
+    "degree_kernel",
     "dims",
     "direct_sum",
     "F_box",
@@ -49,10 +54,6 @@ __all__ = [
     "standard_from_starts",
     "T_plus",
 ]
-
-#: V-adic truncation order for ring arithmetic. Computations in this
-#: package never need V-exponents anywhere near this.
-V_CUTOFF = 64
 
 GradingLike = Union[int, str, Fraction]
 
@@ -91,24 +92,28 @@ def _is_int(x: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class RingElement:
-    """An element of F[[V]][Q]/(Q^3), truncated at V^V_CUTOFF.
+    """An element of F[[V]][Q]/(Q^3), exact in every V-exponent.
 
-    Coefficients are stored as three bitmasks, one per power of Q; bit v of
-    ``qv[q]`` is the coefficient of Q^q V^v. The monomial Q^q V^v has degree
-    -q - 4v.
+    Stored as the set of monomials (q, v) whose coefficient is one; the
+    monomial Q^q V^v has degree -q - 4v. Storage grows with the number of
+    terms, not with the size of the exponents, so no V-power is ever
+    truncated.
     """
 
-    qv: tuple[int, int, int] = (0, 0, 0)
+    terms: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        if len(self.qv) != 3:
-            raise ValueError("RingElement stores exactly three Q-slices")
-        mask = (1 << (V_CUTOFF + 1)) - 1
-        object.__setattr__(self, "qv", tuple(int(b) & mask for b in self.qv))
+        terms = frozenset((int(q), int(v)) for q, v in self.terms)
+        for q, v in terms:
+            if not (0 <= q <= 2):
+                raise ValueError(f"Q-exponent {q} outside 0..2 (Q^3 = 0)")
+            if v < 0:
+                raise ValueError(f"negative V-exponent {v}")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def zero(cls) -> "RingElement":
-        return cls((0, 0, 0))
+        return cls()
 
     @classmethod
     def one(cls) -> "RingElement":
@@ -116,35 +121,20 @@ class RingElement:
 
     @classmethod
     def monomial(cls, q: int = 0, v: int = 0) -> "RingElement":
-        if not (0 <= q <= 2):
-            raise ValueError(f"Q-exponent {q} outside 0..2 (Q^3 = 0)")
-        if v < 0:
-            raise ValueError(f"negative V-exponent {v}")
-        if v > V_CUTOFF:
-            return cls.zero()
-        slices = [0, 0, 0]
-        slices[q] = 1 << v
-        return cls(tuple(slices))
+        return cls(frozenset({(q, v)}))
 
     def is_zero(self) -> bool:
-        return not any(self.qv)
+        return not self.terms
 
     def monomials(self) -> list[tuple[int, int]]:
         """All (q, v) with nonzero coefficient, sorted."""
-        out = []
-        for q, bits in enumerate(self.qv):
-            b = bits
-            while b:
-                low = b & -b
-                out.append((q, low.bit_length() - 1))
-                b ^= low
-        return sorted(out)
+        return sorted(self.terms)
 
     def degrees(self) -> list[Fraction]:
         return [Fraction(-q - 4 * v) for q, v in self.monomials()]
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(tuple(a ^ b for a, b in zip(self.qv, other.qv)))
+        return RingElement(self.terms ^ other.terms)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         return ring_mul(self, other)
@@ -162,27 +152,17 @@ class RingElement:
 
 
 def ring_mul(x: RingElement, y: RingElement) -> RingElement:
-    """Product in F[[V]][Q]/(Q^3), V-truncated at V_CUTOFF.
+    """Product in F[[V]][Q]/(Q^3).
 
     Commutative and degree-additive on surviving monomials; Q-exponents at
-    or past 3 and V-exponents past the cutoff are dropped.
+    or past 3 are dropped, V-exponents never are.
     """
-    vmask = (1 << (V_CUTOFF + 1)) - 1
-    out = [0, 0, 0]
-    for q1, b1 in enumerate(x.qv):
-        if not b1:
-            continue
-        for q2, b2 in enumerate(y.qv):
-            if not b2 or q1 + q2 > 2:
-                continue
-            acc = 0
-            bb = b1
-            while bb:
-                low = bb & -bb
-                acc ^= (b2 << (low.bit_length() - 1)) & vmask
-                bb ^= low
-            out[q1 + q2] ^= acc
-    return RingElement(tuple(out))
+    out: set[tuple[int, int]] = set()
+    for q1, v1 in x.terms:
+        for q2, v2 in y.terms:
+            if q1 + q2 <= 2:
+                out ^= {(q1 + q2, v1 + v2)}
+    return RingElement(frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +191,6 @@ class Tower:
             raise ValueError(f"unknown tower kind {self.kind!r}")
         if self.kind == "bar" and self.step != 4:
             raise ValueError("two-sided towers are step-4 only")
-
-    def supports(self, z: Fraction) -> bool:
-        t = (as_grading(z) - self.base) / self.step
-        if not _is_int(t):
-            return False
-        return True if self.kind == "bar" else t >= 0
 
 
 @dataclass(frozen=True)
@@ -297,48 +271,91 @@ class StructuredModule:
     __add__ = direct_sum
 
 
-def dims(
+def degree_kernel(
     m: StructuredModule, window: tuple[GradingLike, GradingLike]
-) -> dict[Fraction, int]:
-    """Per-degree dimensions of m inside the closed window [lo, hi]."""
+) -> tuple[int, dict[int, int], dict[int, int]]:
+    """Dimensions and link Q-ranks of m inside the closed window [lo, hi].
+
+    Returns (D, dims, qranks) with integer keys in units of 1/D: key z is
+    degree z/D. D is the lcm of the denominators of the window ends, the
+    tower bases and the box degrees, so it is 1 whenever all of those are
+    integers and the keys are then the degrees themselves.
+
+    A tower's degrees in the window form one integer range. A link
+    (src, tgt) is active at z when z is in the source range, z - D is in
+    the target tower, and z lies on lo + integers (Q has degree -1, so the
+    Q-rank profile is read off that lattice only).
+    """
     lo, hi = as_grading(window[0]), as_grading(window[1])
     if lo > hi:
         raise WindowError(f"empty window [{lo}, {hi}]")
-    out: dict[Fraction, int] = {}
+    d = math.lcm(
+        lo.denominator,
+        hi.denominator,
+        *(t.base.denominator for t in m.towers),
+        *(b.deg.denominator for b in m.boxes),
+    )
+
+    def units(x: Fraction) -> int:
+        return x.numerator * (d // x.denominator)
+
+    lo_z, hi_z = units(lo), units(hi)
+    dim: dict[int, int] = {}
+    ladders = []  # per tower: base, step, bounded below?, degrees in the window
     for t in m.towers:
-        # first supported degree >= lo in this tower
-        k0 = math.ceil((lo - t.base) / t.step)
+        base, step = units(t.base), t.step * d
+        start = base - (base - lo_z) // step * step  # first z >= lo_z on the ladder
         if t.kind == "plus":
-            k0 = max(k0, 0)
-        z = t.base + t.step * k0
-        while z <= hi:
-            out[z] = out.get(z, 0) + 1
-            z += t.step
+            start = max(start, base)
+        zs = range(start, hi_z + 1, step)
+        ladders.append((base, step, t.kind == "plus", zs))
+        for z in zs:
+            dim[z] = dim.get(z, 0) + 1
     for b in m.boxes:
-        if lo <= b.deg <= hi:
-            out[b.deg] = out.get(b.deg, 0) + b.dim
-    return out
+        z = units(b.deg)
+        if lo_z <= z <= hi_z:
+            dim[z] = dim.get(z, 0) + b.dim
+    qrank: dict[int, int] = {}
+    for i, j in m.links:
+        *_, zs = ladders[i]
+        if (zs.start - lo_z) % d:
+            continue  # the source ladder misses lo + integers entirely
+        tbase, tstep, tplus, _ = ladders[j]
+        for z in zs:
+            if (z - d - tbase) % tstep == 0 and not (tplus and z - d < tbase):
+                qrank[z] = qrank.get(z, 0) + 1
+    return d, dim, qrank
+
+
+def _as_degrees(d: int, by_z: dict[int, int]) -> dict[Fraction, int]:
+    return {Fraction(z, d): n for z, n in by_z.items()}
+
+
+def dims(
+    m: StructuredModule, window: tuple[GradingLike, GradingLike]
+) -> dict[Fraction, int]:
+    """Per-degree dimensions of m inside the closed window [lo, hi].
+
+    A view of ``degree_kernel`` with exact ``Fraction`` degrees as keys;
+    raises WindowError when lo > hi.
+    """
+    d, dim, _qrank = degree_kernel(m, window)
+    return _as_degrees(d, dim)
 
 
 def q_rank_profile(
     m: StructuredModule, window: tuple[GradingLike, GradingLike]
 ) -> dict[Fraction, int]:
-    """Guaranteed Q-rank out of each degree, from tower links only.
+    """Guaranteed Q-rank out of each degree lo + n in [lo, hi], from links.
 
     A link (src, tgt) is active at z when z lies in the source tower and
     z-1 lies in the target tower. Boxes contribute nothing here: their
-    Q-behavior is not pinned by the structure data.
+    Q-behavior is not pinned by the structure data. A view of
+    ``degree_kernel`` with ``Fraction`` keys; raises WindowError when
+    lo > hi.
     """
-    lo, hi = as_grading(window[0]), as_grading(window[1])
-    out: dict[Fraction, int] = {}
-    for i, j in m.links:
-        src, tgt = m.towers[i], m.towers[j]
-        z = lo
-        while z <= hi:
-            if src.supports(z) and tgt.supports(z - 1):
-                out[z] = out.get(z, 0) + 1
-            z += 1
-    return out
+    d, _dim, qrank = degree_kernel(m, window)
+    return _as_degrees(d, qrank)
 
 
 # -- convenience constructors ------------------------------------------------

@@ -138,11 +138,9 @@ def _grp_ring() -> list[Row]:
     rows.append(_cmp("ring/v-powers", "ring-relations", "Q^2 V^3", ring_mul(q2, ring_mul(v, RingElement.monomial(0, 2)))))
     mixed = ring_mul(RingElement.monomial(1, 1), RingElement.monomial(1, 2))
     rows.append(_cmp("ring/q-mixed", "ring-relations", "Q^2 V^3", mixed))
-    two = RingElement((1, 1, 0))
+    two = RingElement({(0, 0), (1, 0)})
     rows.append(_cmp("ring/char-two", "ring-relations", "1 + Q^2", ring_mul(two, two)))
-    rows.append(
-        _cmp("ring/unit-render", "ring-relations", "1 + Q^1", RingElement((1, 1, 0)))
-    )
+    rows.append(_cmp("ring/unit-render", "ring-relations", "1 + Q^1", two))
     return rows
 
 

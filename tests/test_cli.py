@@ -29,6 +29,11 @@ def test_blowup_plain(capsys):
     assert capsys.readouterr().out == "Q^2 V^1\n"
 
 
+def test_blowup_large_k(capsys):
+    assert main(["blowup", "-k", "18"]) == 0
+    assert capsys.readouterr().out == "Q^2 V^76\n"
+
+
 def test_blowup_zero(capsys):
     assert main(["blowup", "-k", "4"]) == 0
     assert capsys.readouterr().out == "0\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from pin2floer.modules import (
     F_box,
     T_plus,
     direct_sum,
+    format_grading,
 )
 
 
@@ -112,6 +115,53 @@ def test_feasibility_accepts_correct_partner():
 def test_source_validation():
     with pytest.raises(GysinError):
         oracle_solve(StandardModule(0, 0, 0).to_structured())  # not a step-2 input
+
+
+def test_feasibility_rejects_fractional_candidate_box():
+    # a box at 1/2 used to be folded onto degree 0 and certified
+    cand = StandardModule(0, 0, 0).to_structured((Box(Fraction(1, 2), 1),))
+    with pytest.raises(GysinError, match="candidate box at non-integer degree 1/2"):
+        feasibility_check(T_plus(0), cand)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 3)])
+def test_feasibility_rejects_fractional_tower_starts(alpha):
+    cand = StandardModule(alpha, alpha, alpha).to_structured()
+    start = format_grading(2 * alpha)
+    with pytest.raises(GysinError, match=f"candidate tower base {start} is not"):
+        feasibility_check(T_plus(0), cand)
+
+
+def test_known_side_must_be_integral():
+    with pytest.raises(GysinError, match="known-side box at non-integer degree -1/2"):
+        feasibility_check(T_plus(0) + F_box(1, Fraction(-1, 2)), T_plus(0))
+
+
+# -- search budgets name the window they ran in -----------------------------------
+
+
+def test_node_budget_error_names_window_and_budget():
+    with pytest.raises(
+        GysinError,
+        match=r"\(6 nodes > max_nodes=5\) in window \[-5, 12\]",
+    ):
+        oracle_solve(T_plus(0) + F_box(1, -1), max_nodes=5)
+
+
+def test_survivor_cap_error_names_window_and_cap():
+    m = direct_sum(T_plus(-4), F_box(3, -4), F_box(1, -3))
+    with pytest.raises(
+        GysinError,
+        match=r"survivors \(2 > max_solutions=1\) in window \[-8, 9\]",
+    ):
+        oracle_solve(m, max_solutions=1)
+
+
+def test_no_partner_error_names_window():
+    with pytest.raises(
+        GysinError, match=r"no feasible Gysin partner in window \[-16, 12\]$"
+    ):
+        oracle_solve(T_plus(0) + F_box(1, -12))
 
 
 # -- closed forms -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from pin2floer.modules import (
     T_plus,
     classify_parity,
     correction_terms_of,
+    degree_kernel,
     dims,
     direct_sum,
     format_grading,
@@ -79,6 +81,53 @@ def test_one_is_identity(q, v):
     assert ring_mul(RingElement.one(), x) == x
 
 
+# V-exponents far past any truncation order: every law must hold exactly
+_elements = st.builds(
+    lambda terms: sum(
+        (RingElement.monomial(q, v) for q, v in terms), RingElement.zero()
+    ),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10_000)), max_size=4),
+)
+
+
+@given(_elements, _elements, _elements)
+@settings(max_examples=150, deadline=None)
+def test_ring_laws_with_large_v_exponents(x, y, z):
+    assert ring_mul(x, y) == ring_mul(y, x)
+    assert ring_mul(ring_mul(x, y), z) == ring_mul(x, ring_mul(y, z))
+    assert ring_mul(x, y + z) == ring_mul(x, y) + ring_mul(x, z)
+    assert ring_mul(RingElement.one(), x) == x
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_q_cubed_vanishes_at_large_v(v1, v2, v3):
+    q = [RingElement.monomial(1, v) for v in (v1, v2, v3)]
+    assert ring_mul(ring_mul(q[0], q[1]), q[2]).is_zero()
+    assert ring_mul(q[0], q[1]) == RingElement.monomial(2, v1 + v2)
+
+
+_big_v = st.integers(0, 10_000)
+
+
+@given(st.integers(0, 2), _big_v, st.integers(0, 2), _big_v)
+@settings(max_examples=100, deadline=None)
+def test_monomial_degrees_add(q1, v1, q2, v2):
+    x, y = RingElement.monomial(q1, v1), RingElement.monomial(q2, v2)
+    prod = ring_mul(x, y)
+    if q1 + q2 > 2:
+        assert prod.is_zero()
+    else:
+        assert prod.degrees() == [x.degrees()[0] + y.degrees()[0]]
+
+
+def test_ring_rejects_bad_exponents():
+    with pytest.raises(ValueError, match="negative V-exponent"):
+        RingElement({(0, -1)})
+    with pytest.raises(ValueError, match="Q-exponent 3"):
+        RingElement({(3, 0)})
+
+
 # -- towers and boxes ----------------------------------------------------------
 
 
@@ -104,6 +153,110 @@ def test_plus_tower_dims():
 def test_dims_empty_window_raises():
     with pytest.raises(WindowError):
         dims(T_plus(0), (3, 1))
+
+
+def test_q_rank_profile_empty_window_raises():
+    m = standard_from_starts(0, 1, 2).to_structured()
+    with pytest.raises(WindowError, match=r"empty window \[3, 1\]"):
+        q_rank_profile(m, (3, 1))
+
+
+def test_degree_kernel_units():
+    m = standard_from_starts(0, 1, 2).to_structured((Box(-1, 2),))
+    d, dim, qrank = degree_kernel(m, (-2, 6))
+    assert d == 1
+    assert dim == {0: 1, 4: 1, 1: 1, 5: 1, 2: 1, 6: 1, -1: 2}
+    assert qrank == {2: 1, 6: 1, 1: 1, 5: 1}
+    # a half-integer window end counts in halves
+    d, dim, qrank = degree_kernel(T_plus(0), (Fraction(-1, 2), 2))
+    assert (d, dim, qrank) == (2, {0: 1, 4: 1}, {})
+
+
+# -- the integer kernel against the per-degree walk it replaced ----------------
+
+
+def _ref_supports(t, z):
+    n = (z - t.base) / t.step
+    if n.denominator != 1:
+        return False
+    return True if t.kind == "bar" else n >= 0
+
+
+def _ref_dims(m, window):
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    out = {}
+    for t in m.towers:
+        k0 = math.ceil((lo - t.base) / t.step)
+        if t.kind == "plus":
+            k0 = max(k0, 0)
+        z = t.base + t.step * k0
+        while z <= hi:
+            out[z] = out.get(z, 0) + 1
+            z += t.step
+    for b in m.boxes:
+        if lo <= b.deg <= hi:
+            out[b.deg] = out.get(b.deg, 0) + b.dim
+    return out
+
+
+def _ref_q_rank_profile(m, window):
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    out = {}
+    for i, j in m.links:
+        src, tgt = m.towers[i], m.towers[j]
+        z = lo
+        while z <= hi:
+            if _ref_supports(src, z) and _ref_supports(tgt, z - 1):
+                out[z] = out.get(z, 0) + 1
+            z += 1
+    return out
+
+
+_denominators = st.sampled_from([1, 2, 3, 4, 8])
+_gradings = st.builds(lambda n, d: Fraction(n, d), st.integers(-80, 80), _denominators)
+
+
+@st.composite
+def _modules_and_windows(draw):
+    # most gradings share one fractional part, so that the window lattice
+    # lines up, and tower i often starts one above tower i-1 (mod 4), as in
+    # a Q-chain, so that links fire; the rest are arbitrary rationals
+    d = draw(_denominators)
+    shift = Fraction(draw(st.integers(0, d - 1)), d)
+    gradings = st.one_of(
+        st.builds(lambda n: shift + n, st.sampled_from(range(-8, 9))),
+        st.builds(lambda n: shift + n, st.sampled_from(range(-8, 9))),
+        _gradings,
+    )
+    towers = []
+    for i in range(draw(st.integers(0, 4))):
+        chained = st.integers(-2, 2).map(lambda k, i=i: shift + i + 4 * k)
+        base = draw(st.one_of(gradings, chained))
+        kind = draw(st.sampled_from(["plus", "bar"]))
+        step = 4 if kind == "bar" else draw(st.sampled_from([2, 4]))
+        towers.append(Tower(base, step, kind))
+    n = len(towers)
+    pairs = st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j])
+    down = st.sampled_from([(i, i - 1) for i in range(1, n)])  # along the chain
+    links = []
+    if n > 1:
+        links = [draw(st.one_of(pairs, down)) for _ in range(draw(st.integers(0, 4)))]
+    boxes = draw(st.lists(st.builds(Box, gradings, st.integers(1, 3)), max_size=3))
+    lo = draw(gradings)
+    hi = lo + draw(st.builds(Fraction, st.integers(0, 120), st.sampled_from([1, 2, 8])))
+    return StructuredModule(tuple(towers), tuple(boxes), tuple(links)), (lo, hi)
+
+
+@given(_modules_and_windows())
+@settings(max_examples=400, deadline=None)
+def test_kernel_matches_per_degree_walk(case):
+    m, window = case
+    for got, want in (
+        (dims(m, window), _ref_dims(m, window)),
+        (q_rank_profile(m, window), _ref_q_rank_profile(m, window)),
+    ):
+        assert got == want
+        assert all(type(k) is Fraction for k in got)
 
 
 def test_direct_sum_accumulates():

@@ -350,6 +350,21 @@ def test_blowup_values():
     assert str(blowup_coefficient(-2)) == "Q^2 V^1"
 
 
+def test_blowup_past_the_old_v64_cutoff():
+    assert str(blowup_coefficient(18)) == "Q^2 V^76"
+    assert str(blowup_coefficient(19)) == "Q^2 V^85"
+    assert str(blowup_coefficient(22)) == "Q^2 V^115"
+    assert str(blowup_coefficient(-17)) == "Q^2 V^76"
+    assert str(blowup_coefficient(-18)) == "Q^2 V^85"
+
+
+def test_blowup_formula_up_to_ten_thousand():
+    for k in range(-10_000, 10_001):
+        expo = (k * (k - 1)) // 4
+        want = "0" if k % 4 in (0, 1) else ("Q^2 V^%d" % expo if expo else "Q^2")
+        assert str(blowup_coefficient(k)) == want, k
+
+
 # -- obstruction and cobordism ------------------------------------------------------------
 
 
@@ -480,8 +495,6 @@ def test_blowup_quadratic_exponent(k):
     coeff = blowup_coefficient(k)
     expo = (k * (k - 1)) // 4
     if k % 4 in (0, 1):
-        assert coeff.is_zero()
-    elif expo > 64:  # the ring truncates V-powers past its window cutoff
         assert coeff.is_zero()
     else:
         ((q, v),) = coeff.monomials()
