@@ -179,20 +179,24 @@ def _parse_alexander(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _knot_report(kd: KnotData, slope: int) -> dict:
+def _knot_report(kd: KnotData, slope: int, with_module: bool = True) -> dict:
+    """One knot's JSON report; ``with_module=False`` skips the "hm_plus_one"
+    module, which only the JSON output prints."""
     res = correction_terms(kd, slope)
-    return {
+    rep = {
         "name": kd.name,
         "sigma": kd.signature,
         "arf": kd.arf,
         "mirrored": kd.mirrored,
         "surgery": slope,
-        "hm_plus_one": module_to_json(hm_plus_one_surgery(kd)),
         "hs_towers": _ct_json(res.ct),
         "table": _ct_json(res.table),
         "agree": res.agree,
         "obstructed": seifert_obstruction(res.ct).obstructed,
     }
+    if with_module:
+        rep["hm_plus_one"] = module_to_json(hm_plus_one_surgery(kd))
+    return rep
 
 
 def _ct_line(ct) -> str:
@@ -230,26 +234,36 @@ def _read_knot_rows(path: str) -> list[dict]:
     return rows
 
 
-def _batch_one(row: dict) -> dict:
-    name = row["name"].strip()
+def _column(row: dict, column: str, parse=int, what: str = "an integer"):
+    """Parse one CSV field; a short row leaves trailing fields as None."""
+    raw = (row.get(column) or "").strip()
+    if not raw:
+        raise KnotError(f"column {column!r} is missing or empty")
     try:
-        arf_raw = (row.get("arf") or "").strip()
-        kd = validate_knot(
-            name,
-            int(row["signature"]),
-            _parse_alexander(row["alexander"]),
-            arf=int(arf_raw) if arf_raw else None,
+        return parse(raw)
+    except ValueError:
+        raise KnotError(f"column {column!r} must be {what}, got {raw!r}") from None
+
+
+def _batch_one(row: dict, with_module: bool) -> dict:
+    name = (row.get("name") or "").strip()
+    try:
+        signature = _column(row, "signature")
+        alexander = _column(
+            row, "alexander", _parse_alexander, "integers joined by ';'"
         )
-        slope = int(row["surgery"])
+        arf = _column(row, "arf") if (row.get("arf") or "").strip() else None
+        slope = _column(row, "surgery")
+        kd = validate_knot(name, signature, alexander, arf=arf)
         if slope not in (1, -1):
             raise KnotError(f"surgery slope must be +1 or -1, got {slope}")
-        return _knot_report(kd, slope)
+        return _knot_report(kd, slope, with_module)
     except (KnotError, GysinError, ValueError) as e:
         raise KnotError(f"knot {name!r}: {e}") from None
 
 
 def _cmd_knot_batch(args) -> int:
-    reports = [_batch_one(r) for r in _read_knot_rows(args.csv)]
+    reports = [_batch_one(r, args.json) for r in _read_knot_rows(args.csv)]
     if args.json:
         _emit_json({"knots": reports})
         return 0

@@ -8,8 +8,10 @@ a_0 + sum_j a_j (t^j + t^-j)) and the signature of an alternating knot:
 * the S^1-side modules of 0- and +1-surgery, spin-c level by level;
 * the Pin(2)-side answer of +1-surgery through the certified closed form;
 * the two-sided-tower model of 0-surgery and the -1-surgery answer it
-  forces, each construction re-verified numerically as an exact triangle
-  of windowed tower maps;
+  forces, each construction verified numerically as an exact triangle of
+  windowed tower maps, checked once per distinct input per process (both
+  are cached on their exact, hashable arguments; a failing input is not
+  cached and raises on every call);
 * the closed-form correction-term tables, cross-checked against the
   pipeline on every call;
 * the blow-up coefficient, the Seifert-space obstruction, and the spin
@@ -22,6 +24,7 @@ correction terms are computed for the opposite surgery slope and reversed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -45,7 +48,6 @@ from .modules import (
     T_plus,
     F_box,
     correction_terms_of,
-    direct_sum,
     reverse_orientation,
     standard_from_starts,
 )
@@ -236,12 +238,30 @@ def _finite_level_module(b: int, delta: int, rep_deg: int) -> StructuredModule:
     The ladder sits in the opposite parity, descending from the degree just
     below the representative: one box each at rep-1, rep-3, ...
     """
-    parts = []
-    if b:
-        parts.append(F_box(b, rep_deg))
-    for i in range(delta):
-        parts.append(F_box(1, rep_deg - 1 - 2 * i))
-    return direct_sum(*parts)
+    boxes = [Box(rep_deg, b)] if b else []
+    boxes += [Box(rep_deg - 1 - 2 * i, 1) for i in range(delta)]
+    return StructuredModule(boxes=tuple(boxes))
+
+
+def _finite_levels(kd: KnotData):
+    """(s, b_s, delta(sigma, s)) for s >= 1 up to where both must vanish."""
+    smax = max(kd.genus_bound, (abs(kd.signature) + 1) // 2)
+    for s in range(1, smax + 1):
+        yield s, b_coefficient(kd, s), delta_bound(kd.signature, s)
+
+
+def _plus_one_core(kd: KnotData) -> StructuredModule:
+    """The distinguished spin-c summand of +1-surgery: T^+_{-2 delta_0} + F^{b_0}.
+
+    This is the non-qsplit part of ``hm_plus_one_surgery`` and the whole
+    input of the Pin(2)-side answer; the b_0 boxes sit one below half the
+    signature.
+    """
+    b0 = b_coefficient(kd, 0)
+    return StructuredModule(
+        towers=T_plus(-2 * delta_bound(kd.signature, 0)).towers,
+        boxes=(Box(kd.signature // 2 - 1, b0),) if b0 else (),
+    )
 
 
 def hm_zero_surgery(kd: KnotData) -> ZeroSurgeryModules:
@@ -252,16 +272,10 @@ def hm_zero_surgery(kd: KnotData) -> ZeroSurgeryModules:
     levels s > 0 are finite with parity-only gradings.
     """
     half = kd.signature // 2
-    levels = []
-    m0 = T_plus(-1) + T_plus(-2 * delta_bound(kd.signature, 0))
-    b0 = b_coefficient(kd, 0)
-    if b0:
-        m0 = m0 + F_box(b0, half - 1)
-    levels.append(SpinCLevel(s=0, module=m0, parity_only=False))
-    smax = max(kd.genus_bound, (abs(kd.signature) + 1) // 2)
-    for s in range(1, smax + 1):
-        bs = b_coefficient(kd, s)
-        ds = delta_bound(kd.signature, s)
+    levels = [
+        SpinCLevel(s=0, module=T_plus(-1) + _plus_one_core(kd), parity_only=False)
+    ]
+    for s, bs, ds in _finite_levels(kd):
         if not bs and not ds:
             continue
         levels.append(
@@ -280,22 +294,17 @@ def hm_plus_one_surgery(kd: KnotData) -> StructuredModule:
     The distinguished structure gives T^+_{-2 delta_0} with b_0 boxes; the
     remaining structures come in conjugate pairs contributing two copies of
     each finite level, recorded as qsplit boxes (they carry no Q-rank into
-    the Pin(2) bookkeeping).
+    the Pin(2) bookkeeping). Boxes are listed level by level, b_s before
+    the ladder, and the module is built once from that list.
     """
     half = kd.signature // 2
-    m = T_plus(-2 * delta_bound(kd.signature, 0))
-    b0 = b_coefficient(kd, 0)
-    if b0:
-        m = m + F_box(b0, half - 1)
-    smax = max(kd.genus_bound, (abs(kd.signature) + 1) // 2)
-    for s in range(1, smax + 1):
-        bs = b_coefficient(kd, s)
-        ds = delta_bound(kd.signature, s)
+    core = _plus_one_core(kd)
+    boxes = list(core.boxes)
+    for s, bs, ds in _finite_levels(kd):
         if bs:
-            m = m + F_box(2 * bs, s + half, qsplit=True)
-        for i in range(ds):
-            m = m + F_box(2, s + half - 1 - 2 * i, qsplit=True)
-    return m
+            boxes.append(Box(s + half, 2 * bs, qsplit=True))
+        boxes += [Box(s + half - 1 - 2 * i, 2, qsplit=True) for i in range(ds)]
+    return StructuredModule(towers=core.towers, boxes=tuple(boxes))
 
 
 def _resolve_single_family(core: StructuredModule) -> FamilyAnswer:
@@ -329,12 +338,7 @@ def hs_plus_one_surgery(kd: KnotData, method: str = "closed") -> FamilyAnswer:
     instead demands a unique search result and errors on the family-2
     odd-count inputs where the rank bookkeeping alone leaves two survivors.
     """
-    hm = hm_plus_one_surgery(kd)
-    core = StructuredModule(
-        towers=hm.towers,
-        boxes=tuple(b for b in hm.boxes if not b.qsplit),
-        links=hm.links,
-    )
+    core = _plus_one_core(kd)
     if method == "closed":
         return _resolve_single_family(core)
     if method != "oracle":
@@ -489,13 +493,16 @@ def _verify_bar_triangle(
 _S_BAR = (2, 1, 0)  # the standard two-sided model with its Q-chain
 
 
+@functools.cache
 def zero_surgery_bar_towers(hs_plus: StandardModule, arf: int) -> BarTowers:
     """Two-sided tower model of 0-surgery from the +1-surgery answer.
 
     The construction is pinned by an exact triangle of two-sided tower
     sums linking the standard model, this output, and the towers of the
     +1-surgery answer; the triangle is rebuilt numerically in a window and
-    checked before the result is returned.
+    checked before the result is returned. Results are cached on the exact
+    arguments, so the triangle is checked once per distinct input per
+    process; an input that fails raises on every call.
     """
     if arf not in (0, 1):
         raise KnotError(f"Arf invariant must be 0 or 1, got {arf}")
@@ -510,7 +517,7 @@ def zero_surgery_bar_towers(hs_plus: StandardModule, arf: int) -> BarTowers:
             )
         bases = (1, 0, -1, c, b, a)
         links = ((0, 1), (1, 2), (3, 4), (4, 5))
-    out = BarTowers(bases=bases, links=links, arf=arf)
+    out = BarTowers(bases=bases, links=links, arf=int(arf))
 
     span = max(abs(v) for v in bases + (a, b, c) + _S_BAR)
     shift = max(1, abs(c))
@@ -530,13 +537,15 @@ def zero_surgery_bar_towers(hs_plus: StandardModule, arf: int) -> BarTowers:
     return out
 
 
+@functools.cache
 def minus_one_towers(quad: BarTowers) -> StandardModule:
     """The -1-surgery answer forced by the 0-surgery two-sided model.
 
     Arf 1: tower starts (2, q4+1, q3+1) where (q3, q4) are the last two
     bases of the quadruple; Arf 0 always returns the trivial pattern.
     The forcing triangle (this time through the standard model) is rebuilt
-    and checked numerically before returning.
+    and checked numerically before returning, once per distinct input per
+    process like ``zero_surgery_bar_towers``.
     """
     if quad.arf == 1:
         q3, q4 = quad.bases[2], quad.bases[3]

@@ -104,6 +104,27 @@ def test_knot_batch_bad_row(tmp_path, capsys):
     assert "bad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, column, reason",
+    [
+        ("k1,,-1;1,1,+1", "signature", "is missing or empty"),
+        ("k1,abc,-1;1,1,+1", "signature", "must be an integer, got 'abc'"),
+        ("k1,-2", "alexander", "is missing or empty"),
+        ("k1,-2,x;1,1,+1", "alexander", "must be integers joined by ';'"),
+        ("k1,-2,-1;1,abc,+1", "arf", "must be an integer, got 'abc'"),
+        ("k1,-2,-1;1,1", "surgery", "is missing or empty"),
+        ("k1,-2,-1;1,1,abc", "surgery", "must be an integer, got 'abc'"),
+    ],
+)
+def test_knot_batch_bad_column(tmp_path, capsys, row, column, reason):
+    p = tmp_path / "knots.csv"
+    p.write_text(f"name,signature,alexander,arf,surgery\n{row}\n")
+    assert main(["knot", "batch", "--csv", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"knot 'k1': column '{column}' {reason}" in err
+    assert "Traceback" not in err
+
+
 def test_knot_batch_missing_file(capsys):
     assert main(["knot", "batch", "--csv", "/does/not/exist.csv"]) == 2
     assert "error: io:" in capsys.readouterr().err

@@ -5,13 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pin2floer.modules import (
     Box,
     CorrectionTerms,
     StandardModule,
+    StructuredModule,
     F_box,
     T_plus,
     dims,
@@ -21,6 +22,7 @@ from pin2floer.surgery import (
     KnotData,
     KnotError,
     PipelineMismatch,
+    _plus_one_core,
     b_coefficient,
     blowup_coefficient,
     catalog,
@@ -307,6 +309,38 @@ def test_bar_towers_arf0_requires_congruences():
         zero_surgery_bar_towers(StandardModule(1, -1, -1), arf=0)
 
 
+# -- cached triangle checks -----------------------------------------------------------
+
+
+def test_failing_bar_towers_input_raises_every_time():
+    # functools.cache stores no exceptions, so nothing lets a bad input through
+    for _ in range(2):
+        with pytest.raises(KnotError):
+            zero_surgery_bar_towers(StandardModule(1, -1, -1), arf=0)
+
+
+@pytest.mark.parametrize("sigma, arf", [(-8, 1), (-8, 0), (-14, 1), (0, 0)])
+def test_cached_triangle_answers_equal_cold_calls(sigma, arf):
+    plus = plus_one_from_signature(sigma, arf).standard
+    quad = zero_surgery_bar_towers(plus, arf)
+    std = minus_one_towers(quad)
+    assert zero_surgery_bar_towers(plus, arf) is quad
+    assert minus_one_towers(quad) is std
+    zero_surgery_bar_towers.cache_clear()
+    minus_one_towers.cache_clear()
+    cold = zero_surgery_bar_towers(plus, arf)
+    assert cold is not quad and cold == quad
+    assert minus_one_towers(cold) == std
+
+
+def test_bar_towers_cache_normalizes_arf():
+    plus = plus_one_from_signature(-8, 1).standard
+    zero_surgery_bar_towers.cache_clear()
+    first = zero_surgery_bar_towers(plus, True)
+    assert type(first.arf) is int
+    assert type(zero_surgery_bar_towers(plus, 1).arf) is int
+
+
 # -- end-to-end pipeline -------------------------------------------------------------
 
 
@@ -500,3 +534,73 @@ def test_blowup_quadratic_exponent(k):
         ((q, v),) = coeff.monomials()
         assert q == 2
         assert v == expo
+
+
+# -- one-pass +1-surgery module ------------------------------------------------------
+
+
+def _reference_hm_plus_one(kd):
+    """The fold ``hm_plus_one_surgery`` used before it was built in one pass."""
+    half = kd.signature // 2
+    m = T_plus(-2 * delta_bound(kd.signature, 0))
+    b0 = b_coefficient(kd, 0)
+    if b0:
+        m = m + F_box(b0, half - 1)
+    smax = max(kd.genus_bound, (abs(kd.signature) + 1) // 2)
+    for s in range(1, smax + 1):
+        bs = b_coefficient(kd, s)
+        ds = delta_bound(kd.signature, s)
+        if bs:
+            m = m + F_box(2 * bs, s + half, qsplit=True)
+        for i in range(ds):
+            m = m + F_box(2, s + half - 1 - 2 * i, qsplit=True)
+    return m
+
+
+def _alexander_product(a, b):
+    fa, fb = a[:0:-1] + a, b[:0:-1] + b
+    out = [0] * (len(fa) + len(fb) - 1)
+    for i, x in enumerate(fa):
+        for j, y in enumerate(fb):
+            out[i + j] += x * y
+    return out[len(out) // 2:]
+
+
+@st.composite
+def _alternating_knots(draw):
+    """Connected sums of 1-3 torus knots T(2, 2n+1) and twist knots, with
+    sigma >= -160, possibly mirrored."""
+    budget, sigma, alex = 80, 0, [1]
+    for _ in range(draw(st.integers(1, 3))):
+        if budget and draw(st.booleans()):
+            n = draw(st.integers(1, budget))
+            budget -= n
+            s, a = -2 * n, [(-1) ** (n + j) for j in range(n + 1)]
+        else:
+            m = draw(st.integers(1, 40))
+            if budget and draw(st.booleans()):
+                budget -= 1
+                s, a = -2, [1 - 2 * m, m]
+            else:
+                s, a = 0, [2 * m + 1, -m]
+        sigma, alex = sigma + s, _alexander_product(alex, a)
+    if draw(st.booleans()):
+        sigma = -sigma
+    return validate_knot("k", sigma, alex)
+
+
+_T2_161 = [(-1) ** (80 + j) for j in range(81)]
+
+
+@given(_alternating_knots())
+@example(validate_knot("T(2,161)", -160, _T2_161))
+@example(validate_knot("mT(2,161)", 160, _T2_161))
+@settings(max_examples=100, deadline=None)
+def test_one_pass_hm_plus_one_matches_fold(kd):
+    got = hm_plus_one_surgery(kd)
+    assert got == _reference_hm_plus_one(kd)  # box order included
+    assert _plus_one_core(kd) == StructuredModule(
+        towers=got.towers,
+        boxes=tuple(b for b in got.boxes if not b.qsplit),
+        links=got.links,
+    )
