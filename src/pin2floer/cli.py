@@ -22,9 +22,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .complexes import (
@@ -42,6 +43,7 @@ from .modules import (
     T_plus,
     F_box,
     WindowError,
+    _grading_to_json,
     correction_terms_of,
     format_grading,
     module_to_json,
@@ -83,20 +85,77 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode_json(obj, out: list, indent: str = "\n") -> None:
+    """Append the text of ``obj`` to ``out`` as ``_emit_json`` lays it out,
+    with ``indent`` (a newline and spaces) as the current nesting."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_json(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _encode_json(obj[key], out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode_json(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    """Write ``obj`` to stdout as canonical JSON in one write.
 
-
-def _frac_json(x: Fraction):
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else format_grading(x)
+    The bytes equal ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+    newline for trees of dicts with ``str`` keys, lists, tuples, ``str``,
+    ``int``, ``float``, ``bool`` and ``None``; any other value or key
+    raises ``TypeError``. ``json.dumps`` with ``indent`` runs the
+    pure-Python encoder, which this avoids.
+    """
+    out: list = []
+    _encode_json(obj, out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _ct_json(ct) -> dict:
     return {
-        "alpha": _frac_json(ct.alpha),
-        "beta": _frac_json(ct.beta),
-        "gamma": _frac_json(ct.gamma),
+        "alpha": _grading_to_json(ct.alpha),
+        "beta": _grading_to_json(ct.beta),
+        "gamma": _grading_to_json(ct.gamma),
     }
 
 
@@ -149,7 +208,7 @@ def _cmd_gysin_solve(args) -> int:
                     {
                         "towers": _ct_json(correction_terms_of(c.standard)),
                         "boxes": [
-                            {"deg": _frac_json(b.deg), "dim": b.dim}
+                            {"deg": _grading_to_json(b.deg), "dim": b.dim}
                             for b in sorted(c.boxes, key=lambda b: b.deg)
                         ],
                         "module": module_to_json(c.module),
@@ -263,10 +322,20 @@ def _batch_one(row: dict, with_module: bool) -> dict:
 
 
 def _cmd_knot_batch(args) -> int:
-    reports = [_batch_one(r, args.json) for r in _read_knot_rows(args.csv)]
+    rows = _read_knot_rows(args.csv)
     if args.json:
-        _emit_json({"knots": reports})
+        # The layout of _emit_json({"knots": reports}), one report at a time:
+        # each is encoded and joined as soon as it is computed, and stdout is
+        # written once, so a failing row leaves it empty.
+        out = ['{\n  "knots": [']
+        for i, row in enumerate(rows):
+            chunks = [",\n    " if i else "\n    "]
+            _encode_json(_batch_one(row, True), chunks, "\n    ")
+            out.append("".join(chunks))
+        out.append("\n  ]\n}\n")
+        sys.stdout.write("".join(out))
         return 0
+    reports = [_batch_one(r, False) for r in rows]
     for rep in reports:
         flags = []
         if rep["mirrored"]:

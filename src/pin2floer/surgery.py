@@ -288,6 +288,13 @@ def hm_zero_surgery(kd: KnotData) -> ZeroSurgeryModules:
     return ZeroSurgeryModules(levels=tuple(levels))
 
 
+@functools.cache
+def _qsplit_box(deg: int, dim: int) -> Box:
+    """One shared qsplit box per (deg, dim); a batch of knots repeats a few
+    thousand of them across ~10^5 places, and ``Box`` is frozen."""
+    return Box(deg, dim, qsplit=True)
+
+
 def hm_plus_one_surgery(kd: KnotData) -> StructuredModule:
     """S^1-side module of +1-surgery, all spin-c structures together.
 
@@ -302,8 +309,8 @@ def hm_plus_one_surgery(kd: KnotData) -> StructuredModule:
     boxes = list(core.boxes)
     for s, bs, ds in _finite_levels(kd):
         if bs:
-            boxes.append(Box(s + half, 2 * bs, qsplit=True))
-        boxes += [Box(s + half - 1 - 2 * i, 2, qsplit=True) for i in range(ds)]
+            boxes.append(_qsplit_box(s + half, 2 * bs))
+        boxes += [_qsplit_box(s + half - 1 - 2 * i, 2) for i in range(ds)]
     return StructuredModule(towers=core.towers, boxes=tuple(boxes))
 
 
@@ -422,17 +429,18 @@ class BarTowers:
     arf: int
 
 
-def _bar_supports(base: int, z: int) -> bool:
-    return (z - base) % 4 == 0
+def _bar_slots(bases: Sequence[int], z: int) -> dict[int, int]:
+    """Tower index -> coordinate at degree z, for the towers supported there."""
+    out = {}
+    for idx, b in enumerate(bases):
+        if (z - b) % 4 == 0:
+            out[idx] = len(out)
+    return out
 
 
 def _bar_dims(bases: Sequence[int], lo: int, hi: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for z in range(lo, hi + 1):
-        n = sum(1 for b in bases if _bar_supports(b, z))
-        if n:
-            out[z] = n
-    return out
+    counts = [len(_bar_slots(bases, r)) for r in range(4)]
+    return {z: counts[z % 4] for z in range(lo, hi + 1) if counts[z % 4]}
 
 
 def _bar_map(
@@ -448,32 +456,29 @@ def _bar_map(
     ``pairs`` lists (source tower index, target tower index); the map sends
     the source tower's degree-z slot to the target tower's degree
     z+degree slot whenever both exist. Coordinates at each degree are
-    ordered by tower index.
+    ordered by tower index. The towers have step 4, so the block at z
+    depends only on z mod 4: the four residue blocks are built once and
+    shared by every degree whose source and target lie in [lo, hi].
     """
-    src_dims = _bar_dims(src_bases, lo, hi)
-    tgt_dims = _bar_dims(tgt_bases, lo, hi)
-
-    def slots(bases: Sequence[int], z: int) -> dict[int, int]:
-        out = {}
-        for idx, b in enumerate(bases):
-            if _bar_supports(b, z):
-                out[idx] = len(out)
-        return out
-
-    blocks = {}
-    for z in range(lo, hi + 1):
-        if not lo <= z + degree <= hi:
-            continue
-        sc = slots(src_bases, z)
-        tc = slots(tgt_bases, z + degree)
+    residue_blocks = {}
+    for r in range(4):
+        sc = _bar_slots(src_bases, r)
+        tc = _bar_slots(tgt_bases, r + degree)
         if not sc or not tc:
             continue
         rows = [0] * len(tc)
         for i_src, i_tgt in pairs:
             if i_src in sc and i_tgt in tc:
                 rows[tc[i_tgt]] |= 1 << sc[i_src]
-        blocks[z] = F2Matrix(len(tc), len(sc), rows)
-    return GradedMap(src_dims, tgt_dims, degree, blocks)
+        residue_blocks[r] = F2Matrix(len(tc), len(sc), rows)
+    blocks = {
+        z: residue_blocks[z % 4]
+        for z in range(max(lo, lo - degree), min(hi, hi - degree) + 1)
+        if z % 4 in residue_blocks
+    }
+    return GradedMap(
+        _bar_dims(src_bases, lo, hi), _bar_dims(tgt_bases, lo, hi), degree, blocks
+    )
 
 
 def _verify_bar_triangle(

@@ -464,7 +464,8 @@ def _grp_assembly() -> list[Row]:
 
 def _grp_blowup() -> list[Row]:
     rows = []
-    for k in range(-8, 9):
+    # then k = 2, 3 (mod 4) with V-exponents past 64: 76, 85, 115, 76, 85
+    for k in (*range(-8, 9), 18, 19, 22, -17, -18):
         got = str(blowup_coefficient(k))
         if k % 4 in (0, 1):
             want = "0"

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pin2floer import cli
 from pin2floer.cli import main
 from pin2floer.complexes import (
     filtered_to_json,
@@ -123,6 +129,18 @@ def test_knot_batch_bad_column(tmp_path, capsys, row, column, reason):
     err = capsys.readouterr().err
     assert f"knot 'k1': column '{column}' {reason}" in err
     assert "Traceback" not in err
+
+
+def test_knot_batch_json_bad_third_row_writes_nothing(tmp_path, capsys):
+    p = tmp_path / "knots.csv"
+    p.write_text(
+        "name,signature,alexander,arf,surgery\n"
+        "trefoil,-2,-1;1,1,+1\nfigure-eight,0,3;-1,,-1\nk3,-2,-1;1,1,abc\n"
+    )
+    assert main(["knot", "batch", "--csv", str(p), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "knot 'k3': column 'surgery'" in err
 
 
 def test_knot_batch_missing_file(capsys):
@@ -250,3 +268,96 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "Q^2 V^10\n"
+
+
+# -- the JSON emitter ----------------------------------------------------------------
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _emitted(obj) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_json(obj)
+    return buf.getvalue()
+
+
+_strings = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600aZ') | st.characters()
+)
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), -(10**18))
+    | st.floats()
+    | st.floats(-1e6, 1e6).map(lambda x: round(x, 3))
+    | _strings
+)
+_json_trees = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_strings, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_json_trees)
+@example({"a": True, "b": 1, "c": 1.0, "d": [True, 1, 1.0, None], "e": {}, "f": []})
+@example([{}, [], ({"": ""},), -(2**80), 0.001, 1e300, -0.0])
+@settings(max_examples=400, deadline=None)
+def test_emitter_matches_stdlib_dumps(obj):
+    assert _emitted(obj) == _stdlib_json(obj)
+
+
+def _bundle_file(tmp_path, method, seed):
+    f1, f2, h1 = random_admissible_triple(random.Random(seed), (0, 1, 2, 3), method=method)
+    p = tmp_path / f"tri-{method}-{seed}.json"
+    p.write_text(json.dumps(triangle_bundle_to_json(f1, f2, h1)))
+    return str(p)
+
+
+def _filtered_file(tmp_path):
+    p = tmp_path / "filt.json"
+    fc = random_filtered_complex(random.Random(4), (0, 1, 2))
+    p.write_text(json.dumps(filtered_to_json(fc)))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gysin", "solve", "--tower", "-4", "--box", "-4:3", "--box", "-3:1"],
+        ["knot", "correction", "--alexander", "-1;1", "--signature", "-2", "--surgery", "-1"],
+        ["homalg", "triangle", "--file", lambda d: _bundle_file(d, "cone", 0)],
+        ["homalg", "triangle", "--file", lambda d: _bundle_file(d, "formula", 7)],
+        ["homalg", "ss", "--file", _filtered_file],
+        ["blowup", "-k", "18"],
+        ["catalog"],
+        ["catalog", "Poincare"],
+        ["verify", "paper"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if isinstance(a, str) and a.isalpha()),
+)
+def test_json_output_matches_stdlib_dumps(tmp_path, capsys, monkeypatch, argv):
+    # every subcommand emits through _emit_json; the object it was handed is
+    # serialised again by the stdlib and must give the same bytes
+    emitted = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda obj: (emitted.append(obj), emit(obj)))
+    argv = [a(tmp_path) if callable(a) else a for a in argv] + ["--json"]
+    assert main(argv) == 0
+    assert len(emitted) == 1
+    assert capsys.readouterr().out == _stdlib_json(emitted[0])
+
+
+@pytest.mark.parametrize(
+    "obj", [{"x": Fraction(1, 2)}, [{1, 2}], {"ok": b"bytes"}, {1: "int key"}, object()]
+)
+def test_emitter_rejects_unsupported_types(capsys, obj):
+    with pytest.raises(TypeError):
+        cli._emit_json(obj)
+    assert capsys.readouterr().out == ""

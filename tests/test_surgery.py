@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import importlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pin2floer import cli
+from pin2floer.complexes import GradedMap
+from pin2floer.gf2 import F2Matrix
 from pin2floer.modules import (
     Box,
     CorrectionTerms,
@@ -22,6 +30,7 @@ from pin2floer.surgery import (
     KnotData,
     KnotError,
     PipelineMismatch,
+    _bar_map,
     _plus_one_core,
     b_coefficient,
     blowup_coefficient,
@@ -43,6 +52,8 @@ from pin2floer.surgery import (
     validate_knot,
     zero_surgery_bar_towers,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 TREFOIL = dict(signature=-2, alexander=(-1, 1))
 FIG8 = dict(signature=0, alexander=(3, -1))
@@ -339,6 +350,103 @@ def test_bar_towers_cache_normalizes_arf():
     first = zero_surgery_bar_towers(plus, True)
     assert type(first.arf) is int
     assert type(zero_surgery_bar_towers(plus, 1).arf) is int
+
+
+def test_bench_seed_one_checks_each_triangle_input_once(tmp_path, monkeypatch):
+    # 69 distinct slope -1 inputs, each checked by the 0- and the -1-surgery
+    # triangle; a second pass over the same rows checks nothing new
+    monkeypatch.syspath_prepend(str(BENCH))
+    gen, spans = importlib.import_module("gen"), importlib.import_module("spans")
+    rows, _expected, _props = gen.make_knot_rows(1)
+    path = tmp_path / "knots.csv"
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    zero_surgery_bar_towers.cache_clear()
+    minus_one_towers.cache_clear()
+    rec = spans.Recorder()
+    restore = spans.install(rec)
+    checks = []
+    try:
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["knot", "batch", "--csv", str(path)]) == 0
+            checks.append(
+                sum(rec.names[i] == "complexes.check_exact_triangle" for i in rec.name_ids)
+            )
+    finally:
+        restore()
+    assert not rec.missing
+    assert checks == [138, 138]
+
+
+# -- windowed two-sided tower maps --------------------------------------------------
+
+
+def _reference_bar_dims(bases, lo, hi):
+    out = {}
+    for z in range(lo, hi + 1):
+        n = sum(1 for b in bases if (z - b) % 4 == 0)
+        if n:
+            out[z] = n
+    return out
+
+
+def _reference_bar_map(src_bases, tgt_bases, pairs, degree, lo, hi):
+    """The per-degree loop ``_bar_map`` used before it built one block per
+    residue mod 4."""
+
+    def slots(bases, z):
+        out = {}
+        for idx, b in enumerate(bases):
+            if (z - b) % 4 == 0:
+                out[idx] = len(out)
+        return out
+
+    blocks = {}
+    for z in range(lo, hi + 1):
+        if not lo <= z + degree <= hi:
+            continue
+        sc = slots(src_bases, z)
+        tc = slots(tgt_bases, z + degree)
+        if not sc or not tc:
+            continue
+        rows = [0] * len(tc)
+        for i_src, i_tgt in pairs:
+            if i_src in sc and i_tgt in tc:
+                rows[tc[i_tgt]] |= 1 << sc[i_src]
+        blocks[z] = F2Matrix(len(tc), len(sc), rows)
+    return GradedMap(
+        _reference_bar_dims(src_bases, lo, hi),
+        _reference_bar_dims(tgt_bases, lo, hi),
+        degree,
+        blocks,
+    )
+
+
+@st.composite
+def _bar_map_inputs(draw):
+    bases = st.lists(st.integers(-60, 60), min_size=1, max_size=6)
+    src, tgt = draw(bases), draw(bases)
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(tgt) - 1)))
+    )
+    lo = draw(st.integers(-90, 10))
+    hi = lo + draw(st.integers(0, 120))
+    return src, tgt, pairs, draw(st.integers(-45, 3)), lo, hi
+
+
+@given(_bar_map_inputs())
+@example(((1, 0, -1), (2, 1, 0), ((0, 0),), -45, -20, 20))  # no target in the window
+@example(((1, 0, -5, -2), (-2, -5, -3), ((2, 1), (3, 2)), 0, -24, 24))
+@settings(max_examples=300, deadline=None)
+def test_bar_map_matches_per_degree_loop(args):
+    got, want = _bar_map(*args), _reference_bar_map(*args)
+    assert (got.src, got.tgt, got.degree) == (want.src, want.tgt, want.degree)
+    assert {z: (m.shape, m.bits) for z, m in got.blocks.items()} == {
+        z: (m.shape, m.bits) for z, m in want.blocks.items()
+    }
 
 
 # -- end-to-end pipeline -------------------------------------------------------------
