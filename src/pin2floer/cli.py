@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    p2f gysin solve --tower 0 --box -1:2 [--pad N] [--json]
+    p2f gysin solve --tower 0 --box -1:2 [--json]
     p2f knot correction --alexander "-1;1" --signature -2 --surgery +1
     p2f knot batch --csv knots.csv [--json]
     p2f homalg triangle --file bundle.json [--json]
@@ -13,8 +13,7 @@ Subcommands::
 
 Exit codes: 0 on success (WARN included), 1 on usage errors, 2 on
 validation failures or verification FAILs. ``--json`` switches any
-subcommand to canonical JSON (sorted keys) on stdout. The Gysin window
-padding honors the P2F_WINDOW_PAD environment variable.
+subcommand to canonical JSON (sorted keys) on stdout.
 """
 
 from __future__ import annotations
@@ -197,7 +196,7 @@ def _cmd_gysin_solve(args) -> int:
     for spec in args.box or ():
         deg, dim = _parse_box(spec)
         m = m + F_box(dim, deg)
-    sol = oracle_solve(m, pad=args.pad, max_solutions=args.max_solutions)
+    sol = oracle_solve(m, max_solutions=args.max_solutions)
     if args.json:
         _emit_json(
             {
@@ -507,7 +506,6 @@ def _build_parser() -> _Parser:
         metavar="DEG:DIM",
         help="finite summand, repeatable (e.g. --box -1:2)",
     )
-    gs.add_argument("--pad", type=int, default=None, help="window padding override")
     gs.add_argument("--max-solutions", type=int, default=64)
     gs.add_argument("--json", action="store_true")
     gs.set_defaults(func=_cmd_gysin_solve)

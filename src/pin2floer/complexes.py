@@ -344,8 +344,8 @@ def check_exact_triangle(
     At each vertex and degree this checks both containment (the incoming
     image lies in the outgoing kernel, i.e. the composite vanishes) and the
     rank identity rank(in) + rank(out) = dim(vertex degree). When
-    ``degrees`` is given, only those vertex degrees are audited (useful for
-    windowed two-sided data whose edges are truncation artifacts).
+    ``degrees`` is given, only those vertex degrees are audited (data that
+    repeats with a period, like two-sided towers, needs one period only).
     """
     failures: list[tuple[str, object, str]] = []
     triples = (("B", u, v), ("C", v, w), ("A", w, u))

@@ -4,9 +4,9 @@ The ring has deg V = -4 and deg Q = -1. Everything downstream (Gysin
 solving, surgery formulas) works with the small zoo of R-modules that
 actually occur:
 
-* ``Tower(base, step, kind)`` -- a rank-one-per-degree ladder. ``plus``
-  towers are bounded below and extend upward forever; ``bar`` towers are
-  two-sided and only ever materialize inside an explicit degree window.
+* ``Tower(base, step)`` -- a rank-one-per-degree plus tower, bounded below
+  at ``base`` and extending upward forever. (The two-sided towers of the
+  surgery triangles are period-4 data and live in ``surgery``.)
 * ``Box(deg, dim)`` -- a finite F^dim summand sitting in one degree, with
   no V-action and no outgoing Q guaranteed.
 * ``StructuredModule`` -- a direct sum of towers and boxes plus a list of
@@ -172,25 +172,16 @@ def ring_mul(x: RingElement, y: RingElement) -> RingElement:
 
 @dataclass(frozen=True)
 class Tower:
-    """A rank-one-per-degree ladder with step 2 or 4.
-
-    ``plus`` towers live in degrees base, base+step, ... ; ``bar`` towers
-    are two-sided (all degrees congruent to base mod step) and can only be
-    materialized inside a window.
-    """
+    """A rank-one-per-degree plus tower with step 2 or 4, living in degrees
+    base, base+step, base+2*step, ..."""
 
     base: Fraction
     step: int = 4
-    kind: str = "plus"
 
     def __post_init__(self):
         object.__setattr__(self, "base", as_grading(self.base))
         if self.step not in (2, 4):
             raise ValueError(f"tower step must be 2 or 4, got {self.step}")
-        if self.kind not in ("plus", "bar"):
-            raise ValueError(f"unknown tower kind {self.kind!r}")
-        if self.kind == "bar" and self.step != 4:
-            raise ValueError("two-sided towers are step-4 only")
 
 
 @dataclass(frozen=True)
@@ -238,16 +229,8 @@ class StructuredModule:
 
     # -- structure -------------------------------------------------------
 
-    def has_bar(self) -> bool:
-        return any(t.kind == "bar" for t in self.towers)
-
     def support_min(self) -> Fraction:
-        """Lowest supported degree; two-sided towers make this undefined."""
-        if self.has_bar():
-            raise WindowError(
-                "module has a two-sided tower; support is unbounded below "
-                "(supply an explicit window)"
-            )
+        """Lowest supported degree: tower bases and box degrees."""
         cands = [t.base for t in self.towers] + [b.deg for b in self.boxes]
         if not cands:
             raise ValueError("empty module has no support")
@@ -301,14 +284,12 @@ def degree_kernel(
 
     lo_z, hi_z = units(lo), units(hi)
     dim: dict[int, int] = {}
-    ladders = []  # per tower: base, step, bounded below?, degrees in the window
+    ladders = []  # per tower: base, step, degrees in the window
     for t in m.towers:
         base, step = units(t.base), t.step * d
-        start = base - (base - lo_z) // step * step  # first z >= lo_z on the ladder
-        if t.kind == "plus":
-            start = max(start, base)
+        start = max(base, base - (base - lo_z) // step * step)  # first rung >= lo_z
         zs = range(start, hi_z + 1, step)
-        ladders.append((base, step, t.kind == "plus", zs))
+        ladders.append((base, step, zs))
         for z in zs:
             dim[z] = dim.get(z, 0) + 1
     for b in m.boxes:
@@ -320,9 +301,9 @@ def degree_kernel(
         *_, zs = ladders[i]
         if (zs.start - lo_z) % d:
             continue  # the source ladder misses lo + integers entirely
-        tbase, tstep, tplus, _ = ladders[j]
+        tbase, tstep, _ = ladders[j]
         for z in zs:
-            if (z - d - tbase) % tstep == 0 and not (tplus and z - d < tbase):
+            if (z - d - tbase) % tstep == 0 and z - d >= tbase:
                 qrank[z] = qrank.get(z, 0) + 1
     return d, dim, qrank
 
@@ -363,7 +344,7 @@ def q_rank_profile(
 
 def T_plus(base: GradingLike) -> StructuredModule:
     """The step-2 plus tower T^+_base (the F[[U]]-side infinite tower)."""
-    return StructuredModule(towers=(Tower(as_grading(base), 2, "plus"),))
+    return StructuredModule(towers=(Tower(as_grading(base), 2),))
 
 
 def F_box(dim: int, deg: GradingLike, qsplit: bool = False) -> StructuredModule:
@@ -423,7 +404,7 @@ class StandardModule:
     def to_structured(self, boxes: Sequence[Box] = ()) -> StructuredModule:
         a, b, c = self.tower_starts()
         return StructuredModule(
-            towers=(Tower(a, 4, "plus"), Tower(b, 4, "plus"), Tower(c, 4, "plus")),
+            towers=(Tower(a, 4), Tower(b, 4), Tower(c, 4)),
             boxes=tuple(boxes),
             links=((2, 1), (1, 0)),
         )
@@ -516,7 +497,7 @@ def _grading_to_json(x: Fraction):
 
 def module_to_json(m: StructuredModule) -> dict:
     towers = [
-        {"base": _grading_to_json(t.base), "step": t.step, "kind": t.kind}
+        {"base": _grading_to_json(t.base), "step": t.step, "kind": "plus"}
         for t in m.towers
     ]
     boxes = []
@@ -533,14 +514,13 @@ def module_to_json(m: StructuredModule) -> dict:
 
 
 def module_from_json(data: Mapping) -> StructuredModule:
-    towers = tuple(
-        Tower(
-            as_grading(t["base"]),
-            int(t.get("step", 4)),
-            str(t.get("kind", "plus")),
-        )
-        for t in data.get("towers", ())
-    )
+    """Inverse of ``module_to_json``; every tower must be a plus tower."""
+    towers = []
+    for idx, t in enumerate(data.get("towers", ())):
+        kind = t.get("kind", "plus")
+        if kind != "plus":
+            raise ValueError(f"tower {idx} has kind {kind!r}; only 'plus' towers exist")
+        towers.append(Tower(as_grading(t["base"]), int(t.get("step", 4))))
     boxes = tuple(
         Box(as_grading(b["deg"]), int(b["dim"]), bool(b.get("qsplit", False)))
         for b in data.get("boxes", ())

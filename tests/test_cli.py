@@ -156,7 +156,16 @@ def test_gysin_solve_unique(capsys):
     assert "unique: yes" in out
 
 
+def test_gysin_solve_three_boxes_below_the_tower(capsys):
+    # a window pad of 8 or 9 once found no partner at all for this input
+    assert main(["gysin", "solve", "--tower", "0", "--box", "-1:3"]) == 0
+    out = capsys.readouterr().out
+    assert "S(1, -1, -1) + F^1<-1>" in out
+    assert "unique: yes" in out
+
+
 def test_gysin_solve_two_candidates(capsys):
+    # a window pad of 8 to 10 once missed the second candidate here
     rc = main(
         ["gysin", "solve", "--tower", "-4", "--box", "-4:3", "--box", "-3:1"]
     )
@@ -164,6 +173,13 @@ def test_gysin_solve_two_candidates(capsys):
     out = capsys.readouterr().out
     assert "unique: no" in out
     assert out.count("S(") == 2
+    assert "S(-2, -2, -2) + F^2<-4> + F^1<-3>" in out
+    assert "S(0, -2, -2) + F^2<-4>" in out
+
+
+def test_gysin_solve_has_no_window_knob(capsys):
+    assert main(["gysin", "solve", "--tower", "0", "--pad", "8"]) == 1
+    assert "unrecognized arguments: --pad" in capsys.readouterr().err
 
 
 def test_gysin_solve_json(capsys):

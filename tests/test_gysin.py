@@ -15,7 +15,6 @@ from pin2floer.gysin import (
     IncreaseStep,
     closed_form_corrected,
     closed_form_stated,
-    default_pad,
     feasibility_check,
     increase_classify,
     oracle_solve,
@@ -256,13 +255,3 @@ def test_increase_classify_repr():
     step = increase_classify((0, 1, 1))
     assert isinstance(step, IncreaseStep)
     assert "IncreaseStep(kind=" in repr(step)
-
-
-def test_default_pad_env(monkeypatch):
-    monkeypatch.delenv("P2F_WINDOW_PAD", raising=False)
-    assert default_pad() == 12
-    monkeypatch.setenv("P2F_WINDOW_PAD", "16")
-    assert default_pad() == 16
-    monkeypatch.setenv("P2F_WINDOW_PAD", "4")
-    with pytest.raises(GysinError):
-        default_pad()

@@ -134,8 +134,10 @@ def test_ring_rejects_bad_exponents():
 def test_tower_validation():
     with pytest.raises(ValueError):
         Tower(0, step=3)
-    with pytest.raises(ValueError):
-        Tower(0, step=2, kind="minus")
+    for kind in ("minus", "bar"):
+        doc = {"towers": [{"base": 0, "step": 2}, {"base": 1, "kind": kind}]}
+        with pytest.raises(ValueError, match=rf"tower 1 has kind '{kind}'"):
+            module_from_json(doc)
 
 
 def test_box_needs_positive_dim():
@@ -177,18 +179,14 @@ def test_degree_kernel_units():
 
 def _ref_supports(t, z):
     n = (z - t.base) / t.step
-    if n.denominator != 1:
-        return False
-    return True if t.kind == "bar" else n >= 0
+    return n.denominator == 1 and n >= 0
 
 
 def _ref_dims(m, window):
     lo, hi = Fraction(window[0]), Fraction(window[1])
     out = {}
     for t in m.towers:
-        k0 = math.ceil((lo - t.base) / t.step)
-        if t.kind == "plus":
-            k0 = max(k0, 0)
+        k0 = max(math.ceil((lo - t.base) / t.step), 0)
         z = t.base + t.step * k0
         while z <= hi:
             out[z] = out.get(z, 0) + 1
@@ -232,9 +230,7 @@ def _modules_and_windows(draw):
     for i in range(draw(st.integers(0, 4))):
         chained = st.integers(-2, 2).map(lambda k, i=i: shift + i + 4 * k)
         base = draw(st.one_of(gradings, chained))
-        kind = draw(st.sampled_from(["plus", "bar"]))
-        step = 4 if kind == "bar" else draw(st.sampled_from([2, 4]))
-        towers.append(Tower(base, step, kind))
+        towers.append(Tower(base, draw(st.sampled_from([2, 4]))))
     n = len(towers)
     pairs = st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j])
     down = st.sampled_from([(i, i - 1) for i in range(1, n)])  # along the chain

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pin2floer import cli
-from pin2floer.complexes import GradedMap
+from pin2floer import cli, surgery
+from pin2floer.complexes import GradedMap, check_exact_triangle
 from pin2floer.gf2 import F2Matrix
 from pin2floer.modules import (
     Box,
@@ -32,6 +32,7 @@ from pin2floer.surgery import (
     PipelineMismatch,
     _bar_map,
     _plus_one_core,
+    _verify_bar_triangle,
     b_coefficient,
     blowup_coefficient,
     catalog,
@@ -352,17 +353,28 @@ def test_bar_towers_cache_normalizes_arf():
     assert type(zero_surgery_bar_towers(plus, 1).arf) is int
 
 
-def test_bench_seed_one_checks_each_triangle_input_once(tmp_path, monkeypatch):
-    # 69 distinct slope -1 inputs, each checked by the 0- and the -1-surgery
-    # triangle; a second pass over the same rows checks nothing new
+def _bench_seed_one_csv(tmp_path, monkeypatch):
+    """The 1000 knot rows of bench seed 1, and a batch CSV holding them."""
     monkeypatch.syspath_prepend(str(BENCH))
-    gen, spans = importlib.import_module("gen"), importlib.import_module("spans")
-    rows, _expected, _props = gen.make_knot_rows(1)
+    rows, _expected, _props = importlib.import_module("gen").make_knot_rows(1)
     path = tmp_path / "knots.csv"
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+    return rows, path
+
+
+def _run_batch(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["knot", "batch", "--csv", str(path)]) == 0
+
+
+def test_bench_seed_one_checks_each_triangle_input_once(tmp_path, monkeypatch):
+    # 69 distinct slope -1 inputs, each checked by the 0- and the -1-surgery
+    # triangle; a second pass over the same rows checks nothing new
+    _rows, path = _bench_seed_one_csv(tmp_path, monkeypatch)
+    spans = importlib.import_module("spans")
     zero_surgery_bar_towers.cache_clear()
     minus_one_towers.cache_clear()
     rec = spans.Recorder()
@@ -370,8 +382,7 @@ def test_bench_seed_one_checks_each_triangle_input_once(tmp_path, monkeypatch):
     checks = []
     try:
         for _ in range(2):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["knot", "batch", "--csv", str(path)]) == 0
+            _run_batch(path)
             checks.append(
                 sum(rec.names[i] == "complexes.check_exact_triangle" for i in rec.name_ids)
             )
@@ -381,7 +392,46 @@ def test_bench_seed_one_checks_each_triangle_input_once(tmp_path, monkeypatch):
     assert checks == [138, 138]
 
 
-# -- windowed two-sided tower maps --------------------------------------------------
+# -- the +1-surgery closed form, once per distinct core ------------------------------
+
+
+def test_bench_seed_one_certifies_each_plus_one_core_once(tmp_path, monkeypatch):
+    rows, _path = _bench_seed_one_csv(tmp_path, monkeypatch)
+    knots = [
+        validate_knot(r["name"], r["signature"], map(int, r["alexander"].split(";")))
+        for r in rows
+    ]
+    calls = []
+    real = surgery.closed_form_corrected
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(surgery, "closed_form_corrected", counted)
+    surgery._resolve_single_family.cache_clear()
+    for kd in knots:
+        hs_plus_one_surgery(kd)
+    assert len(calls) == len({_plus_one_core(kd) for kd in knots}) == 518
+
+
+def test_failing_plus_one_core_raises_every_time(monkeypatch):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise GysinError("closed form failed its own certification")
+
+    monkeypatch.setattr(surgery, "closed_form_corrected", failing)
+    surgery._resolve_single_family.cache_clear()
+    kd = _knot("trefoil", TREFOIL)
+    for _ in range(2):
+        with pytest.raises(GysinError, match="certification"):
+            hs_plus_one_surgery(kd)
+    assert len(calls) == 2
+
+
+# -- two-sided tower maps and the period audit ---------------------------------------
 
 
 def _reference_bar_dims(bases, lo, hi):
@@ -394,8 +444,7 @@ def _reference_bar_dims(bases, lo, hi):
 
 
 def _reference_bar_map(src_bases, tgt_bases, pairs, degree, lo, hi):
-    """The per-degree loop ``_bar_map`` used before it built one block per
-    residue mod 4."""
+    """``_bar_map`` as a per-degree loop over the window [lo, hi]."""
 
     def slots(bases, z):
         out = {}
@@ -425,28 +474,141 @@ def _reference_bar_map(src_bases, tgt_bases, pairs, degree, lo, hi):
     )
 
 
+def _window_audit_ok(bases, pairs, degrees):
+    """The audit ``_verify_bar_triangle`` made before it read four degrees:
+    maps over a window about 2 * (span + shift + 16) degrees wide, checked
+    at every degree a margin inside the window."""
+    span = max((abs(v) for b in bases for v in b), default=0)
+    shift = max(1, *(abs(d) for d in degrees))
+    lo, hi = -(span + shift + 16), span + shift + 16
+    maps = [
+        _reference_bar_map(bases[i], bases[(i + 1) % 3], pairs[i], degrees[i], lo, hi)
+        for i in range(3)
+    ]
+    margin = max(abs(d) for d in degrees) + 1
+    return check_exact_triangle(*maps, degrees=range(lo + margin, hi - margin + 1)).ok
+
+
+def _period_audit_ok(bases, pairs, degrees):
+    try:
+        _verify_bar_triangle(bases, pairs, degrees, "triangle")
+    except AssertionError:
+        return False
+    return True
+
+
+_tower_bases = st.lists(st.integers(-60, 60), max_size=5)
+_map_degrees = st.integers(-45, 3)
+
+
+def _link_pairs(src, tgt):
+    if not src or not tgt:
+        return st.just(())
+    pair = st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(tgt) - 1))
+    return st.lists(pair, max_size=6).map(tuple)
+
+
 @st.composite
 def _bar_map_inputs(draw):
-    bases = st.lists(st.integers(-60, 60), min_size=1, max_size=6)
-    src, tgt = draw(bases), draw(bases)
-    pairs = draw(
-        st.lists(st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(tgt) - 1)))
-    )
-    lo = draw(st.integers(-90, 10))
-    hi = lo + draw(st.integers(0, 120))
-    return src, tgt, pairs, draw(st.integers(-45, 3)), lo, hi
+    src = draw(_tower_bases.filter(bool))
+    tgt = draw(_tower_bases.filter(bool))
+    return src, tgt, draw(_link_pairs(src, tgt)), draw(_map_degrees)
 
 
 @given(_bar_map_inputs())
-@example(((1, 0, -1), (2, 1, 0), ((0, 0),), -45, -20, 20))  # no target in the window
-@example(((1, 0, -5, -2), (-2, -5, -3), ((2, 1), (3, 2)), 0, -24, 24))
+@example(((1, 0, -5, -2), (-2, -5, -3), ((2, 1), (3, 2)), 0))
+@example(((1, 0, -1), (2, 1, 0), ((0, 0),), -45))
 @settings(max_examples=300, deadline=None)
 def test_bar_map_matches_per_degree_loop(args):
-    got, want = _bar_map(*args), _reference_bar_map(*args)
-    assert (got.src, got.tgt, got.degree) == (want.src, want.tgt, want.degree)
+    # at the degrees an audit of vertex degrees 0..3 reads, and only there
+    src, tgt, pairs, degree = args
+    zs = {*range(4), *range(-degree, 4 - degree)}
+    ends = zs | {z + degree for z in zs}
+    got, want = _bar_map(*args), _reference_bar_map(*args, min(ends), max(ends))
+    assert got.degree == degree
+    assert got.src == {z: n for z, n in want.src.items() if z in zs}
+    assert got.tgt == {z: n for z, n in want.tgt.items() if z - degree in zs}
     assert {z: (m.shape, m.bits) for z, m in got.blocks.items()} == {
-        z: (m.shape, m.bits) for z, m in want.blocks.items()
+        z: (m.shape, m.bits) for z, m in want.blocks.items() if z in zs
     }
+
+
+@st.composite
+def _triangles(draw):
+    """(bases, pairs, degrees) of a triangle X_0 -> X_1 -> X_2 -> X_0.
+
+    Half are drawn at random. The other half are split exact, X_0 included
+    into X_1 and X_1 projected onto X_2 with a zero map back, and most of
+    those are then spoiled by shifting one map's degree or dropping a pair.
+    """
+    degrees = [draw(_map_degrees) for _ in range(3)]
+    if draw(st.booleans()):
+        bases = [draw(_tower_bases) for _ in range(3)]
+        pairs = [draw(_link_pairs(bases[i], bases[(i + 1) % 3])) for i in range(3)]
+        return tuple(map(tuple, bases)), tuple(pairs), tuple(degrees)
+    a, c = draw(_tower_bases), draw(_tower_bases)
+    middle = [(x + degrees[0], 0, i) for i, x in enumerate(a)]
+    middle += [(x - degrees[1], 2, j) for j, x in enumerate(c)]
+    middle = draw(st.permutations(middle))
+    at = {(side, i): k for k, (_x, side, i) in enumerate(middle)}
+    pairs = [
+        [(i, at[0, i]) for i in range(len(a))],
+        [(at[2, j], j) for j in range(len(c))],
+        [],
+    ]
+    spoil = draw(st.sampled_from(["none", "shift", "drop"]))
+    if spoil == "shift":
+        degrees[draw(st.integers(0, 2))] += draw(st.integers(1, 4))
+    elif spoil == "drop" and (pairs[0] or pairs[1]):
+        edge = pairs[0] if pairs[0] else pairs[1]
+        del edge[draw(st.integers(0, len(edge) - 1))]
+    bases = (tuple(a), tuple(x for x, _side, _i in middle), tuple(c))
+    return bases, tuple(map(tuple, pairs)), tuple(degrees)
+
+
+@given(_triangles())
+@example((((3,), (), ()), ((), (), ()), (0, 0, 0)))  # fails at degree 3 alone
+@example((((1, 0, -1), (2, 1, 0), ()), (((0, 0),), (), ()), (-1, 0, 0)))
+@settings(max_examples=400, deadline=None)
+def test_period_audit_matches_window_audit(triangle):
+    assert _period_audit_ok(*triangle) == _window_audit_ok(*triangle)
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_period_audit_reads_every_residue(r):
+    # one tower and no maps: exact in every degree but those of one residue
+    with pytest.raises(AssertionError, match=f"vertex A degree {r}:"):
+        _verify_bar_triangle(((r,), (), ()), ((), (), ()), (0, 0, 0), "lone tower")
+
+
+def test_period_audit_matches_window_audit_on_bench_seed_one(tmp_path, monkeypatch):
+    # every triangle the batch audits, two per distinct slope -1 input, as
+    # built and with one map's degree or one link pair changed
+    _rows, path = _bench_seed_one_csv(tmp_path, monkeypatch)
+    seen = []
+    real = surgery._verify_bar_triangle
+
+    def record(bases, pairs, degrees, label):
+        seen.append((bases, pairs, degrees))
+        real(bases, pairs, degrees, label)
+
+    monkeypatch.setattr(surgery, "_verify_bar_triangle", record)
+    zero_surgery_bar_towers.cache_clear()
+    minus_one_towers.cache_clear()
+    _run_batch(path)
+    assert len(seen) == 138
+    verdicts = set()
+    for bases, pairs, degrees in seen:
+        variants = [(pairs, degrees)]
+        for i in range(3):
+            variants.append((pairs, tuple(d + (k == i) for k, d in enumerate(degrees))))
+            if pairs[i]:
+                variants.append((pairs[:i] + (pairs[i][1:],) + pairs[i + 1:], degrees))
+        for p, d in variants:
+            ok = _period_audit_ok(bases, p, d)
+            assert ok == _window_audit_ok(bases, p, d), (bases, p, d)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 # -- end-to-end pipeline -------------------------------------------------------------
