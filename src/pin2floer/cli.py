@@ -395,6 +395,8 @@ def _cmd_homalg_triangle(args) -> int:
 
 
 def _cmd_homalg_ss(args) -> int:
+    if args.r_max is not None and args.r_max < 0:
+        raise ValueError(f"--r-max must be >= 0, got {args.r_max}")
     with open(args.file) as fh:
         data = json.load(fh)
     fc = filtered_from_json(data)

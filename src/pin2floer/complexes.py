@@ -24,8 +24,9 @@ integer degrees. The pieces:
 * ``iterated_cone_module_action`` -- extends compatible module actions on
   the pieces to the two-step cone.
 * ``FilteredComplex`` / ``filtered_pages`` -- exact spectral-sequence pages
-  of a filtered complex, plus the six-column toy model whose pages collapse
-  at E^4 under invertible diagonal blocks.
+  of a filtered complex from one persistence reduction per degree, with
+  E^inf checked against the homology, plus the six-column toy model whose
+  pages collapse at E^4 under invertible diagonal blocks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .gf2 import ContractError, F2Matrix
+from .gf2 import ContractError, F2Matrix, _unpack
 
 __all__ = [
     "AssemblyError",
@@ -318,7 +319,7 @@ def homology(c: GradedComplex) -> Homology:
     reps: dict[int, list[tuple[int, ...]]] = {}
     for k, h in idx.at.items():
         if h.dim:
-            reps[k] = [tuple((v >> j) & 1 for j in range(h.n)) for v in h.reps]
+            reps[k] = [_unpack(v, h.n) for v in h.reps]
     return Homology(dims=dims, representatives=reps)
 
 
@@ -759,7 +760,7 @@ class FilteredComplex:
                 raise ContractError(
                     f"degree {k} has {n} basis vectors but {0 if seq is None else len(seq)} levels"
                 )
-            lv[k] = tuple(int(x) for x in seq)
+            lv[k] = tuple([int(x) for x in seq])
         for k, seq in levels.items():
             if complex.dim_at(int(k)) == 0 and len(seq):
                 raise ContractError(f"levels given at empty degree {k}")
@@ -782,12 +783,6 @@ class FilteredComplex:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("FilteredComplex is immutable")
 
-    def level_span(self) -> int:
-        vals = [x for seq in self.levels.values() for x in seq]
-        if not vals:
-            return 0
-        return max(vals) - min(vals)
-
     def level_range(self) -> tuple[int, int]:
         vals = [x for seq in self.levels.values() for x in seq]
         if not vals:
@@ -801,7 +796,7 @@ class SpectralPages:
 
     ``pages[r]`` maps (filtration level p, degree k) to the page dimension;
     zero entries are omitted. ``einf`` is the stable page, reached at
-    ``stable_r`` and verified against the next page.
+    ``stable_r``; its total in each degree is checked against the homology.
     """
 
     pages: tuple[dict[tuple[int, int], int], ...]
@@ -812,108 +807,86 @@ class SpectralPages:
 def filtered_pages(fc: FilteredComplex, r_max: Optional[int] = None) -> SpectralPages:
     """Exact spectral-sequence pages of a filtered complex.
 
-    Uses the cycle spaces Z^r(p, k) = {x in F_p C_k : dx in F_{p-r} C_{k-1}}
-    and E^r = Z^r / (Z^{r-1}(p-1) + d Z^{r-1}(p+r-1)); dimensions are
-    computed exactly with echelon spans. Pages stabilize once r exceeds the
-    filtration span; the stable page must agree with its successor, which is
-    asserted.
+    A filtered complex with one level per basis vector is a persistence
+    module, so one column reduction per degree yields every page
+    (Zomorodian--Carlsson, "Computing persistent homology", DCG 2005;
+    Basu--Parida, "Spectral sequences, exact couples and persistent homology
+    of filtrations", Expo. Math. 2017). The basis vectors of each degree are
+    ordered by (level, index). Each column of d_k, taken in that order, gets
+    earlier columns added into it until its pivot -- its highest row in that
+    order -- is no earlier column's pivot. These additions never raise a
+    level, so they are a filtered change of basis that splits the complex
+    into dots (unpaired vectors) and intervals y = dx, which pair the pivot
+    row y with its column x. An interval lives on every page E^r with
+    r <= gap = level(x) - level(y) and is killed by d^gap, so dim E^r_{p,k}
+    counts the degree-k vectors at level p that are unpaired plus the paired
+    ones whose gap is >= r.
+
+    Gaps never exceed the filtration span, so the pages are stable from
+    ``stable_r = span + 1`` on and E^inf counts the unpaired vectors. As an
+    independent check, sum_p E^inf_{p,k} must equal
+    dim C_k - rank d_k - rank d_{k+1}, with the ranks from gf2 elimination;
+    a mismatch raises ``AssertionError``. ``pages`` holds E^0..E^r_max, or
+    E^0..E^stable_r when ``r_max`` is None; a negative ``r_max`` raises
+    ``ContractError``.
     """
+    if r_max is not None and r_max < 0:
+        raise ContractError(f"r_max must be >= 0, got {r_max}")
     c = fc.complex
     lo_p, hi_p = fc.level_range()
-    span = hi_p - lo_p
-    stable_r = span + 1
-    r_top = max(stable_r + 1, r_max if r_max is not None else 0)
-
-    def fmask(p: int, k: int) -> int:
-        lvs = fc.levels.get(k)
-        if not lvs:
-            return 0
-        out = 0
-        for i, x in enumerate(lvs):
-            if x <= p:
-                out |= 1 << i
-        return out
-
-    z_cache: dict[tuple[int, int, int], list[int]] = {}
-
-    def z_basis(r: int, p: int, k: int) -> list[int]:
-        key = (r, p, k)
-        got = z_cache.get(key)
-        if got is not None:
-            return got
-        n = c.dim_at(k)
-        if n == 0:
-            z_cache[key] = []
-            return []
-        allow = fmask(p, k)
-        if r <= 0:
-            out = [1 << i for i in range(n) if (allow >> i) & 1]
-            z_cache[key] = out
-            return out
-        d = c.d_at(k)
-        tgt_lvs = fc.levels.get(k - 1, ())
-        bad_rows = [i for i, x in enumerate(tgt_lvs) if x > p - r]
-        allowed_cols = [j for j in range(n) if (allow >> j) & 1]
-        if not allowed_cols:
-            z_cache[key] = []
-            return []
-        if not bad_rows:
-            out = [1 << j for j in allowed_cols]
-            z_cache[key] = out
-            return out
-        sub_rows = []
-        for i in bad_rows:
+    stable_r = hi_p - lo_p + 1
+    order = {
+        k: sorted(range(len(lvs)), key=lambda i, lvs=lvs: (lvs[i], i))
+        for k, lvs in fc.levels.items()
+    }
+    gaps: dict[int, list[Optional[int]]] = {k: [None] * len(o) for k, o in order.items()}
+    for k, d in c.d.items():
+        rows = order[k - 1]
+        cols = [0] * d.cols  # column j of d_k, bit t set for row rows[t]
+        for t, i in enumerate(rows):
             b = d.bits[i]
-            rb = 0
-            for jj, j in enumerate(allowed_cols):
-                if (b >> j) & 1:
-                    rb |= 1 << jj
-            sub_rows.append(rb)
-        sub = F2Matrix(len(bad_rows), len(allowed_cols), sub_rows)
-        out = []
-        for kmask in sub.kernel_masks():
-            full = 0
-            for jj, j in enumerate(allowed_cols):
-                if (kmask >> jj) & 1:
-                    full |= 1 << j
-            out.append(full)
-        z_cache[key] = out
-        return out
+            while b:
+                low = b & -b
+                cols[low.bit_length() - 1] |= 1 << t
+                b ^= low
+        src_lv, tgt_lv = fc.levels[k], fc.levels[k - 1]
+        reduced: dict[int, int] = {}
+        for j in order[k]:
+            v = cols[j]
+            while v:
+                top = v.bit_length() - 1
+                prev = reduced.get(top)
+                if prev is None:
+                    reduced[top] = v
+                    i = rows[top]
+                    gaps[k][j] = gaps[k - 1][i] = src_lv[j] - tgt_lv[i]
+                    break
+                v ^= prev
 
-    def span_dim(vectors: Iterable[int]) -> int:
-        ech = _Echelon()
-        for v in vectors:
-            ech.insert(v)
-        return ech.dim()
-
-    degrees = c.degrees()
-    pages: list[dict[tuple[int, int], int]] = []
-    for r in range(r_top + 1):
-        page: dict[tuple[int, int], int] = {}
-        for k in degrees:
-            lvs = fc.levels.get(k, ())
-            for p in range(lo_p, hi_p + 1):
-                if r == 0:
-                    dim = sum(1 for x in lvs if x == p)
-                else:
-                    num = z_basis(r, p, k)
-                    den = list(z_basis(r - 1, p - 1, k))
-                    dk1 = c.d_at(k + 1)
-                    for x in z_basis(r - 1, p + r - 1, k + 1):
-                        den.append(dk1.apply(x))
-                    dim = span_dim(num) - span_dim(den)
+    keep = r_max if r_max is not None else stable_r
+    pages: list[dict[tuple[int, int], int]] = [{} for _ in range(keep + 1)]
+    einf: dict[tuple[int, int], int] = {}
+    ranks = {k: d.rank() for k, d in c.d.items()}
+    for k in c.degrees():
+        cells: dict[int, list[Optional[int]]] = {}
+        for i in order[k]:
+            cells.setdefault(fc.levels[k][i], []).append(gaps[k][i])
+        total = 0
+        for p, cell in cells.items():
+            unpaired = cell.count(None)
+            total += unpaired
+            if unpaired:
+                einf[(p, k)] = unpaired
+            for r, page in enumerate(pages):
+                dim = unpaired + sum(1 for g in cell if g is not None and g >= r)
                 if dim:
                     page[(p, k)] = dim
-        pages.append(page)
-
-    if pages[stable_r] != pages[stable_r + 1]:
-        raise AssertionError("spectral pages failed to stabilize past the filtration span")
-    keep = r_max if r_max is not None else stable_r
-    return SpectralPages(
-        pages=tuple(pages[: keep + 1]),
-        einf=dict(pages[stable_r]),
-        stable_r=stable_r,
-    )
+        expect = c.dim_at(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if total != expect:
+            raise AssertionError(
+                f"E^inf in degree {k} has total dimension {total}, but the homology has {expect}"
+            )
+    return SpectralPages(pages=tuple(pages), einf=einf, stable_r=stable_r)
 
 
 def mainiso_toy_model(grouped: bool = False) -> FilteredComplex:

@@ -37,7 +37,7 @@ def _pack(row: Sequence[int]) -> int:
 
 
 def _unpack(bits: int, n: int) -> tuple[int, ...]:
-    return tuple((bits >> j) & 1 for j in range(n))
+    return tuple([(bits >> j) & 1 for j in range(n)])
 
 
 class F2Matrix:
@@ -46,7 +46,9 @@ class F2Matrix:
     __slots__ = ("rows", "cols", "bits")
 
     def __init__(self, rows: int, cols: int, bits: Iterable[int] = ()):
-        bits = tuple(int(b) for b in bits)
+        # tuple(<generator>) grows and then shrinks the tuple in place, which
+        # scatters small-object memory; building a list first avoids that
+        bits = tuple([int(b) for b in bits])
         if rows < 0 or cols < 0:
             raise ContractError(f"negative shape ({rows}, {cols})")
         if len(bits) != rows:

@@ -121,6 +121,18 @@ class KnotData:
     def genus_bound(self) -> int:
         return len(self.alexander) - 1
 
+    @functools.cached_property
+    def _torsion(self) -> tuple[int, ...]:
+        """(t_0, ..., t_g) in one suffix-sum pass, from t_g = 0 downward:
+        t_s = t_{s+1} + sum_{m > s} a_m."""
+        a = self.alexander
+        out = [0] * len(a)
+        tail = 0
+        for s in range(len(a) - 2, -1, -1):
+            tail += a[s + 1]
+            out[s] = out[s + 1] + tail
+        return tuple(out)
+
 
 def _alexander_at_minus_one(coeffs: Sequence[int]) -> int:
     return coeffs[0] + 2 * sum(
@@ -191,9 +203,9 @@ def validate_knot(
 
 
 def torsion_coefficient(kd: KnotData, s: int) -> int:
-    """t_s = sum_{j>=1} j * a_{|s|+j}."""
+    """t_s = sum_{j>=1} j * a_{|s|+j}, read from the knot's one-pass table."""
     s = abs(s)
-    return sum(j * kd.alexander[s + j] for j in range(1, len(kd.alexander) - s))
+    return kd._torsion[s] if s <= kd.genus_bound else 0
 
 
 def delta_bound(sigma: int, s: int) -> int:

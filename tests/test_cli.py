@@ -230,6 +230,17 @@ def test_homalg_ss(tmp_path, capsys):
     assert "E^inf:" in out
 
 
+@pytest.mark.parametrize("r_max", ["-1", "-3"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_homalg_ss_negative_r_max_is_rejected(tmp_path, capsys, r_max, json_flag):
+    p = tmp_path / "filt.json"
+    p.write_text(json.dumps(filtered_to_json(random_filtered_complex(random.Random(4), (0, 1, 2)))))
+    assert main(["homalg", "ss", "--file", str(p), "--r-max", r_max, *json_flag]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"--r-max must be >= 0, got {r_max}" in cap.err
+
+
 def test_catalog_entry(capsys):
     assert main(["catalog", "Poincare"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from pin2floer.complexes import (
     AssemblyError,
     ChainMap,
+    FilteredComplex,
     GradedComplex,
     GradedMap,
     Homotopy,
@@ -252,6 +255,164 @@ def test_toy_model_grouped_collapses_immediately():
     pages = filtered_pages(mainiso_toy_model(grouped=True))
     assert not pages.pages[1]
     assert not pages.einf
+
+
+def _reference_filtered_pages(fc, r_max=None):
+    """The page computation ``filtered_pages`` replaced, kept as an oracle.
+
+    Builds every Z^r(p, k) = {x in F_p C_k : dx in F_{p-r} C_{k-1}} as a
+    kernel basis and takes E^r = Z^r / (Z^{r-1}(p-1) + d Z^{r-1}(p+r-1))
+    with echelon spans.
+    """
+    c = fc.complex
+    lo_p, hi_p = fc.level_range()
+    span = hi_p - lo_p
+    stable_r = span + 1
+    r_top = max(stable_r + 1, r_max if r_max is not None else 0)
+
+    def fmask(p, k):
+        out = 0
+        for i, x in enumerate(fc.levels.get(k, ())):
+            if x <= p:
+                out |= 1 << i
+        return out
+
+    z_cache = {}
+
+    def z_basis(r, p, k):
+        key = (r, p, k)
+        if key in z_cache:
+            return z_cache[key]
+        n = c.dim_at(k)
+        allow = fmask(p, k)
+        allowed_cols = [j for j in range(n) if (allow >> j) & 1]
+        bad_rows = [i for i, x in enumerate(fc.levels.get(k - 1, ())) if x > p - r]
+        if r <= 0 or not allowed_cols or not bad_rows:
+            out = [1 << j for j in allowed_cols]
+        else:
+            d = c.d_at(k)
+            sub_rows = []
+            for i in bad_rows:
+                sub_rows.append(
+                    sum(1 << jj for jj, j in enumerate(allowed_cols) if (d.bits[i] >> j) & 1)
+                )
+            sub = F2Matrix(len(bad_rows), len(allowed_cols), sub_rows)
+            out = []
+            for kmask in sub.kernel_masks():
+                out.append(
+                    sum(1 << j for jj, j in enumerate(allowed_cols) if (kmask >> jj) & 1)
+                )
+        z_cache[key] = out
+        return out
+
+    def span_dim(vectors):
+        pivots = {}
+        for v in vectors:
+            while v:
+                p = v.bit_length() - 1
+                if p not in pivots:
+                    pivots[p] = v
+                    break
+                v ^= pivots[p]
+        return len(pivots)
+
+    pages = []
+    for r in range(r_top + 1):
+        page = {}
+        for k in c.degrees():
+            for p in range(lo_p, hi_p + 1):
+                if r == 0:
+                    dim = sum(1 for x in fc.levels.get(k, ()) if x == p)
+                else:
+                    num = z_basis(r, p, k)
+                    den = list(z_basis(r - 1, p - 1, k))
+                    dk1 = c.d_at(k + 1)
+                    for x in z_basis(r - 1, p + r - 1, k + 1):
+                        den.append(dk1.apply(x))
+                    dim = span_dim(num) - span_dim(den)
+                if dim:
+                    page[(p, k)] = dim
+        pages.append(page)
+    assert pages[stable_r] == pages[stable_r + 1]
+    keep = r_max if r_max is not None else stable_r
+    return pages[: keep + 1], pages[stable_r], stable_r
+
+
+def _assert_pages_match_reference(fc, r_max=None):
+    got = filtered_pages(fc, r_max=r_max)
+    pages, einf, stable_r = _reference_filtered_pages(fc, r_max=r_max)
+    assert list(got.pages) == pages
+    assert got.einf == einf
+    assert got.stable_r == stable_r
+
+
+def _shuffled(fc, rng):
+    """The same filtered complex with each degree's basis in random order.
+
+    ``random_filtered_complex`` lists every degree's basis by level; the
+    shuffle makes the index order disagree with the level order.
+    """
+    c = fc.complex
+    perm = {k: rng.sample(range(n), n) for k, n in c.dims.items()}
+    d = {}
+    for k, m in c.d.items():
+        rows = []
+        for i in perm[k - 1]:
+            rows.append(sum(1 << u for u, j in enumerate(perm[k]) if (m.bits[i] >> j) & 1))
+        d[k] = F2Matrix(m.rows, m.cols, rows)
+    levels = {k: tuple(fc.levels[k][i] for i in p) for k, p in perm.items()}
+    return FilteredComplex(GradedComplex(c.dims, d), levels)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(-2, 2),
+    n_degrees=st.integers(1, 5),
+    n_levels=st.integers(1, 5),
+    max_dots=st.integers(0, 3),
+    max_intervals=st.integers(0, 3),
+    shuffle=st.booleans(),
+    r_choice=st.sampled_from([None, 0, 1, "span+3"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_pages_match_reference(
+    seed, first, n_degrees, n_levels, max_dots, max_intervals, shuffle, r_choice
+):
+    rng = random.Random(seed)
+    fc = random_filtered_complex(rng, range(first, first + n_degrees), n_levels, max_dots, max_intervals)
+    if shuffle:
+        fc = _shuffled(fc, rng)
+    lo, hi = fc.level_range()
+    _assert_pages_match_reference(fc, hi - lo + 3 if r_choice == "span+3" else r_choice)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("r_max", [None, 0, 1, 9])
+def test_toy_model_pages_match_reference(grouped, r_max):
+    _assert_pages_match_reference(mainiso_toy_model(grouped=grouped), r_max)
+
+
+def test_bench_seed_one_pages_match_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs, _expected, _props = importlib.import_module("gen").make_homalg_inputs(1)
+    docs = [item["doc"] for item in inputs if item["kind"] == "ss"]
+    assert len(docs) == 50
+    for doc in docs:
+        _assert_pages_match_reference(filtered_from_json(doc))
+
+
+@pytest.mark.parametrize("r_max", [-1, -3])
+def test_negative_r_max_is_rejected(r_max):
+    with pytest.raises(ContractError, match=f"r_max must be >= 0, got {r_max}"):
+        filtered_pages(mainiso_toy_model(), r_max=r_max)
+
+
+def test_einf_is_checked_against_gf2_ranks(monkeypatch):
+    # the toy model is acyclic; claiming every differential has rank 0 makes
+    # its homology nonzero, so the E^inf check must fire
+    monkeypatch.setattr(F2Matrix, "rank", lambda self: 0)
+    with pytest.raises(AssertionError, match="E\\^inf in degree 0 has total dimension 0"):
+        filtered_pages(mainiso_toy_model())
 
 
 # -- assembly ---------------------------------------------------------------------

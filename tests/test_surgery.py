@@ -152,6 +152,17 @@ def test_torsion_coefficients_satisfy_laurent_identity():
         assert lhs == {k: v for k, v in rhs.items() if v}, name
 
 
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=25))
+@settings(max_examples=300, deadline=None)
+def test_torsion_pass_matches_per_s_sum(alexander):
+    """The one-pass table equals t_s = sum_{j>=1} j a_{|s|+j} summed per s."""
+    kd = KnotData("k", 0, tuple(alexander), 0)
+    g = len(alexander) - 1
+    for s in range(-g - 2, g + 3):
+        want = sum(j * alexander[abs(s) + j] for j in range(1, len(alexander) - abs(s)))
+        assert torsion_coefficient(kd, s) == want, s
+
+
 def test_torsion_is_symmetric_and_vanishes_past_genus():
     kd = _knot("T25", T25)
     assert torsion_coefficient(kd, 1) == torsion_coefficient(kd, -1)
