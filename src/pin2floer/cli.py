@@ -161,10 +161,10 @@ def _ct_json(ct) -> dict:
 def _module_text(m: StructuredModule) -> str:
     parts = []
     for t in m.towers:
-        parts.append(f"T^+({format_grading(t.base)}, step {t.step})")
+        parts.append(f"T^+({t.base}, step {t.step})")
     for b in sorted(m.boxes, key=lambda b: b.deg):
         tag = ", qsplit" if b.qsplit else ""
-        parts.append(f"F^{b.dim}<{format_grading(b.deg)}{tag}>")
+        parts.append(f"F^{b.dim}<{b.deg}{tag}>")
     body = " + ".join(parts) if parts else "0"
     if m.links:
         body += "  [Q-links: " + ", ".join(f"{i}->{j}" for i, j in m.links) + "]"
@@ -174,7 +174,7 @@ def _module_text(m: StructuredModule) -> str:
 def _candidate_text(standard, boxes) -> str:
     s = f"S{correction_terms_of(standard)}"
     for b in sorted(boxes, key=lambda b: b.deg):
-        s += f" + F^{b.dim}<{format_grading(b.deg)}>"
+        s += f" + F^{b.dim}<{b.deg}>"
     return s
 
 
@@ -192,6 +192,8 @@ def _parse_box(spec: str):
 
 
 def _cmd_gysin_solve(args) -> int:
+    if args.max_solutions < 1:
+        raise ValueError(f"--max-solutions must be >= 1, got {args.max_solutions}")
     m = T_plus(args.tower)
     for spec in args.box or ():
         deg, dim = _parse_box(spec)
@@ -207,7 +209,7 @@ def _cmd_gysin_solve(args) -> int:
                     {
                         "towers": _ct_json(correction_terms_of(c.standard)),
                         "boxes": [
-                            {"deg": _grading_to_json(b.deg), "dim": b.dim}
+                            {"deg": b.deg, "dim": b.dim}
                             for b in sorted(c.boxes, key=lambda b: b.deg)
                         ],
                         "module": module_to_json(c.module),

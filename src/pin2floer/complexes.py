@@ -527,9 +527,10 @@ def triangle_detect(f1: ChainMap, f2: ChainMap, h1: Homotopy):
     acyclic exactly when g induces an isomorphism on homology; in that case
     the connecting map is F3 = (projection)_* composed with that iso's
     inverse, and the triangle ((f1)_*, (f2)_*, F3) is exact. Otherwise a
-    NotAcyclic report with the homology dimensions comes back.
+    NotAcyclic report with the homology dimensions comes back. The cone is
+    built first, so a bad homotopy raises before anything else is done.
     """
-    _check_homotopy_identity(f1, f2, h1)
+    big = iterated_mapping_cone(f1, f2, h1)  # checks the homotopy identity
     c1, c2, c3 = f1.source, f1.target, f2.target
     cone1, _incl, proj = mapping_cone(f1)
     g_blocks = {}
@@ -537,7 +538,6 @@ def triangle_detect(f1: ChainMap, f2: ChainMap, h1: Homotopy):
         g_blocks[k] = F2Matrix.hstack([f2.block_at(k), h1.block_at(k - 1)])
     g = ChainMap(cone1, c3, g_blocks, degree=0)
 
-    big = iterated_mapping_cone(f1, f2, h1)
     h_big = homology(big)
     if h_big.dims:
         return NotAcyclic(homology_dims=h_big.dims)

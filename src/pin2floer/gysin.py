@@ -28,7 +28,6 @@ exactly two ways, surfaced by ``stated_corrected_diffs``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .modules import (
@@ -37,6 +36,7 @@ from .modules import (
     StructuredModule,
     T_plus,
     degree_kernel,
+    standard_from_starts,
 )
 
 __all__ = [
@@ -105,25 +105,12 @@ def _strip_qsplit(m: StructuredModule) -> StructuredModule:
     return StructuredModule(towers=m.towers, boxes=boxes, links=m.links)
 
 
-def _validate_integral(m: StructuredModule, side: str) -> None:
-    """The recurrence runs over integer degrees; refuse anything else."""
-    for t in m.towers:
-        if t.base.denominator != 1:
-            raise GysinError(f"{side} tower base {t.base} is not an integer degree")
-    for b in m.boxes:
-        if b.deg.denominator != 1:
-            raise GysinError(
-                f"{side} box at non-integer degree {b.deg} is not supported here"
-            )
-
-
 def _validate_source(m: StructuredModule) -> None:
     steps = [t for t in m.towers if t.step == 2]
     if len(steps) != 1 or len(m.towers) != 1:
         raise GysinError(
             "the known side of a Gysin problem must be a single step-2 tower plus boxes"
         )
-    _validate_integral(m, "known-side")
 
 
 def feasibility_check(
@@ -136,24 +123,22 @@ def feasibility_check(
     Returns a GysinCertificate when every degree passes and the Q-rank
     stabilizes to the periodic tower template at the top of the window;
     otherwise the first failure as an Infeasible. qsplit boxes on the known
-    side are ignored (they cancel in pairs in this bookkeeping). Both sides
-    must have integer tower bases and box degrees: a GysinError naming the
-    first non-integer grading is raised otherwise, since the recurrence
-    steps through integer degrees and would misplace it.
+    side are ignored (they cancel in pairs in this bookkeeping). The
+    recurrence steps through integer degrees, which is what module degrees
+    are: a Tower or Box with a non-integer degree cannot be built.
     """
     m = _strip_qsplit(m)
     _validate_source(m)
-    _validate_integral(candidate, "candidate")
     if window is None:
-        lo = int(min(m.support_min(), candidate.support_min())) - 4
-        hi = int(max(m.feature_max(), candidate.feature_max())) + _WINDOW_PAD
+        lo = min(m.support_min(), candidate.support_min()) - 4
+        hi = max(m.feature_max(), candidate.feature_max()) + _WINDOW_PAD
     else:
-        lo, hi = int(window[0]), int(window[1])
-    _d, s_dims, t_prof = degree_kernel(candidate, (lo - 1, hi + 1))
-    _d, m_dims, _q = degree_kernel(m, (lo - 1, hi + 1))
+        lo, hi = window
+    s_dims, t_prof = degree_kernel(candidate, (lo - 1, hi + 1))
+    m_dims, _q = degree_kernel(m, (lo - 1, hi + 1))
     x_dims: dict[int, int] = {}
     for b in candidate.boxes:
-        x_dims[int(b.deg)] = x_dims.get(int(b.deg), 0) + b.dim
+        x_dims[b.deg] = x_dims.get(b.deg, 0) + b.dim
 
     q: dict[int, int] = {}
     i: dict[int, int] = {}
@@ -234,35 +219,36 @@ def oracle_solve(
     has box summands: the finite parts on the two sides of the sequence feed
     each other, so a candidate box with no known-side box in its degree can
     only be sustained by an unbounded cascade of further boxes, never by the
-    towers. Survivors must lock onto the periodic template at the top and
-    are each re-certified with feasibility_check. Raises GysinError when
-    nothing survives, or when the search exceeds its node budget or its
-    survivor cap; each message names the window (lo, hi), and the budget
-    messages also give the count reached and the limit.
+    towers. Survivors must lock onto the periodic template at the top, and
+    each keeps the feasibility_check certificate of its DFS leaf. Raises
+    GysinError when nothing survives, or when the search exceeds its node
+    budget or its survivor cap; each message names the window (lo, hi), and
+    the budget messages also give the count reached and the limit. Both
+    limits must be at least 1.
     """
+    for name, limit in (("max_solutions", max_solutions), ("max_nodes", max_nodes)):
+        if limit < 1:
+            raise GysinError(f"{name} must be >= 1, got {limit}")
     m = _strip_qsplit(m)
     _validate_source(m)
-    smin = int(m.support_min())
-    hi = int(m.feature_max()) + _WINDOW_PAD
+    smin = m.support_min()
+    hi = m.feature_max() + _WINDOW_PAD
     lo = smin - 4
     box_top = hi - 8  # no boxes in the top two periods: the tail must be pure tower
-    _d, m_dims, _q = degree_kernel(m, (lo - 1, hi + 1))
-    box_degrees = {int(b.deg) for b in m.boxes if int(b.deg) <= box_top}
+    m_dims, _q = degree_kernel(m, (lo - 1, hi + 1))
+    box_degrees = {b.deg for b in m.boxes if b.deg <= box_top}
 
-    found: dict[tuple, tuple[StandardModule, tuple[Box, ...]]] = {}
+    found: dict[tuple, GysinCandidate] = {}
     nodes = 0
 
+    # a is even, b = a+1-4i and c = b+1-4j (i, j >= 0): every skeleton is a
+    # valid standard module, so a construction error here is a bug
     for a in range(smin - 2 + (smin % 2), box_top + 1, 2):
         for b in range(a + 1, smin - 3, -4):
             for c in range(b + 1, smin - 3, -4):
-                try:
-                    std = StandardModule(
-                        Fraction(a, 2), Fraction(b - 1, 2), Fraction(c - 2, 2)
-                    )
-                except ValueError:
-                    continue
+                std = standard_from_starts(a, b, c)
                 skel = std.to_structured()
-                _d, st_dims, t_prof = degree_kernel(skel, (lo - 1, hi + 1))
+                st_dims, t_prof = degree_kernel(skel, (lo - 1, hi + 1))
 
                 # depth-first over degrees, state = (k, q_k, boxes so far)
                 stack = [(lo, 0, (), 0)]  # degree, q_k, boxes, s_{k-1}
@@ -281,9 +267,11 @@ def oracle_solve(
                         if isinstance(cert, GysinCertificate):
                             key = (
                                 std.tower_starts(),
-                                tuple(sorted((int(b_.deg), b_.dim) for b_ in boxes)),
+                                tuple(sorted((b_.deg, b_.dim) for b_ in boxes)),
                             )
-                            found.setdefault(key, (std, boxes))
+                            found.setdefault(
+                                key, GysinCandidate(std, boxes, full, cert)
+                            )
                             if len(found) > max_solutions:
                                 raise GysinError(
                                     "candidate search found implausibly many "
@@ -310,15 +298,7 @@ def oracle_solve(
 
     if not found:
         raise GysinError(f"no feasible Gysin partner in window [{lo}, {hi}]")
-    items = sorted(found.items(), key=lambda kv: kv[0])
-    cands = []
-    for _key, (std, boxes) in items:
-        full = std.to_structured(boxes)
-        cert = feasibility_check(m, full, window=(lo, hi))
-        assert isinstance(cert, GysinCertificate)
-        cands.append(
-            GysinCandidate(standard=std, boxes=boxes, module=full, certificate=cert)
-        )
+    cands = [cand for _key, cand in sorted(found.items(), key=lambda kv: kv[0])]
     return GysinSolution(
         candidates=tuple(cands), unique=len(cands) == 1, window=(lo, hi)
     )

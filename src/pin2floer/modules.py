@@ -15,17 +15,17 @@ actually occur:
   (alpha, beta, gamma); tower starts are (2*alpha, 2*beta+1, 2*gamma+2)
   and Q passes c-tower -> b-tower -> a-tower.
 
-Gradings are exact rationals (`fractions.Fraction`) throughout, and ring
-elements are exact in every power of V (there is no V-adic truncation).
-Per-degree dimensions and Q-ranks come from one integer kernel,
-``degree_kernel``, which counts in units of the common denominator of the
-window and the module's degrees; ``dims`` and ``q_rank_profile`` are its
-``Fraction``-keyed views.
+Module degrees are ints: tower bases and box degrees are checked once,
+when a module is built, and anything that is not an integer raises
+ValueError. Correction terms stay exact rationals (`fractions.Fraction`),
+since they are rational for rational homology spheres, and ring elements
+are exact in every power of V (there is no V-adic truncation). Per-degree
+dimensions and Q-ranks come from one integer kernel, ``degree_kernel``;
+``dims`` and ``q_rank_profile`` are its two halves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -73,6 +73,21 @@ def as_grading(x: GradingLike) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a grading")
+
+
+def _as_degree(x: GradingLike, what: str) -> int:
+    """Coerce an int, an integral Fraction or an integral string to an int
+    module degree; a bool or any non-integer value raises ValueError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        try:
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"{what} {x} is not an integer")
 
 
 def format_grading(x: Fraction) -> str:
@@ -130,8 +145,8 @@ class RingElement:
         """All (q, v) with nonzero coefficient, sorted."""
         return sorted(self.terms)
 
-    def degrees(self) -> list[Fraction]:
-        return [Fraction(-q - 4 * v) for q, v in self.monomials()]
+    def degrees(self) -> list[int]:
+        return [-q - 4 * v for q, v in self.monomials()]
 
     def __add__(self, other: "RingElement") -> "RingElement":
         return RingElement(self.terms ^ other.terms)
@@ -175,11 +190,11 @@ class Tower:
     """A rank-one-per-degree plus tower with step 2 or 4, living in degrees
     base, base+step, base+2*step, ..."""
 
-    base: Fraction
+    base: int
     step: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "base", as_grading(self.base))
+        object.__setattr__(self, "base", _as_degree(self.base, "tower base"))
         if self.step not in (2, 4):
             raise ValueError(f"tower step must be 2 or 4, got {self.step}")
 
@@ -193,12 +208,12 @@ class Box:
     bookkeeping and correction terms.
     """
 
-    deg: Fraction
+    deg: int
     dim: int
     qsplit: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "deg", as_grading(self.deg))
+        object.__setattr__(self, "deg", _as_degree(self.deg, "box degree"))
         if self.dim < 1:
             raise ValueError(f"box dimension must be positive, got {self.dim}")
 
@@ -229,14 +244,14 @@ class StructuredModule:
 
     # -- structure -------------------------------------------------------
 
-    def support_min(self) -> Fraction:
+    def support_min(self) -> int:
         """Lowest supported degree: tower bases and box degrees."""
         cands = [t.base for t in self.towers] + [b.deg for b in self.boxes]
         if not cands:
             raise ValueError("empty module has no support")
         return min(cands)
 
-    def feature_max(self) -> Fraction:
+    def feature_max(self) -> int:
         """Highest 'feature' degree: tower bases and box degrees."""
         cands = [t.base for t in self.towers] + [b.deg for b in self.boxes]
         if not cands:
@@ -256,87 +271,59 @@ class StructuredModule:
 
 def degree_kernel(
     m: StructuredModule, window: tuple[GradingLike, GradingLike]
-) -> tuple[int, dict[int, int], dict[int, int]]:
+) -> tuple[dict[int, int], dict[int, int]]:
     """Dimensions and link Q-ranks of m inside the closed window [lo, hi].
 
-    Returns (D, dims, qranks) with integer keys in units of 1/D: key z is
-    degree z/D. D is the lcm of the denominators of the window ends, the
-    tower bases and the box degrees, so it is 1 whenever all of those are
-    integers and the keys are then the degrees themselves.
-
-    A tower's degrees in the window form one integer range. A link
-    (src, tgt) is active at z when z is in the source range, z - D is in
-    the target tower, and z lies on lo + integers (Q has degree -1, so the
-    Q-rank profile is read off that lattice only).
+    Returns (dims, qranks) keyed by degree. A tower's degrees in the window
+    form one integer range. A link (src, tgt) is active at z when z is in
+    the source range and z - 1 is in the target tower (Q has degree -1).
+    The window ends must be integers; lo > hi raises WindowError.
     """
-    lo, hi = as_grading(window[0]), as_grading(window[1])
+    lo, hi = _as_degree(window[0], "window end"), _as_degree(window[1], "window end")
     if lo > hi:
         raise WindowError(f"empty window [{lo}, {hi}]")
-    d = math.lcm(
-        lo.denominator,
-        hi.denominator,
-        *(t.base.denominator for t in m.towers),
-        *(b.deg.denominator for b in m.boxes),
-    )
-
-    def units(x: Fraction) -> int:
-        return x.numerator * (d // x.denominator)
-
-    lo_z, hi_z = units(lo), units(hi)
     dim: dict[int, int] = {}
-    ladders = []  # per tower: base, step, degrees in the window
+    ladders = []  # per tower: degrees in the window
     for t in m.towers:
-        base, step = units(t.base), t.step * d
-        start = max(base, base - (base - lo_z) // step * step)  # first rung >= lo_z
-        zs = range(start, hi_z + 1, step)
-        ladders.append((base, step, zs))
+        base, step = t.base, t.step
+        start = max(base, base - (base - lo) // step * step)  # first rung >= lo
+        zs = range(start, hi + 1, step)
+        ladders.append(zs)
         for z in zs:
             dim[z] = dim.get(z, 0) + 1
     for b in m.boxes:
-        z = units(b.deg)
-        if lo_z <= z <= hi_z:
-            dim[z] = dim.get(z, 0) + b.dim
+        if lo <= b.deg <= hi:
+            dim[b.deg] = dim.get(b.deg, 0) + b.dim
     qrank: dict[int, int] = {}
     for i, j in m.links:
-        *_, zs = ladders[i]
-        if (zs.start - lo_z) % d:
-            continue  # the source ladder misses lo + integers entirely
-        tbase, tstep, _ = ladders[j]
-        for z in zs:
-            if (z - d - tbase) % tstep == 0 and z - d >= tbase:
+        tgt = m.towers[j]
+        for z in ladders[i]:
+            if (z - 1 - tgt.base) % tgt.step == 0 and z - 1 >= tgt.base:
                 qrank[z] = qrank.get(z, 0) + 1
-    return d, dim, qrank
-
-
-def _as_degrees(d: int, by_z: dict[int, int]) -> dict[Fraction, int]:
-    return {Fraction(z, d): n for z, n in by_z.items()}
+    return dim, qrank
 
 
 def dims(
     m: StructuredModule, window: tuple[GradingLike, GradingLike]
-) -> dict[Fraction, int]:
+) -> dict[int, int]:
     """Per-degree dimensions of m inside the closed window [lo, hi].
 
-    A view of ``degree_kernel`` with exact ``Fraction`` degrees as keys;
-    raises WindowError when lo > hi.
+    The first half of ``degree_kernel``; raises WindowError when lo > hi.
     """
-    d, dim, _qrank = degree_kernel(m, window)
-    return _as_degrees(d, dim)
+    return degree_kernel(m, window)[0]
 
 
 def q_rank_profile(
     m: StructuredModule, window: tuple[GradingLike, GradingLike]
-) -> dict[Fraction, int]:
-    """Guaranteed Q-rank out of each degree lo + n in [lo, hi], from links.
+) -> dict[int, int]:
+    """Guaranteed Q-rank out of each degree in [lo, hi], from links.
 
     A link (src, tgt) is active at z when z lies in the source tower and
     z-1 lies in the target tower. Boxes contribute nothing here: their
-    Q-behavior is not pinned by the structure data. A view of
-    ``degree_kernel`` with ``Fraction`` keys; raises WindowError when
-    lo > hi.
+    Q-behavior is not pinned by the structure data. The second half of
+    ``degree_kernel``; raises WindowError when lo > hi.
     """
-    d, _dim, qrank = degree_kernel(m, window)
-    return _as_degrees(d, qrank)
+    return degree_kernel(m, window)[1]
 
 
 # -- convenience constructors ------------------------------------------------
@@ -344,14 +331,14 @@ def q_rank_profile(
 
 def T_plus(base: GradingLike) -> StructuredModule:
     """The step-2 plus tower T^+_base (the F[[U]]-side infinite tower)."""
-    return StructuredModule(towers=(Tower(as_grading(base), 2),))
+    return StructuredModule(towers=(Tower(base, 2),))
 
 
 def F_box(dim: int, deg: GradingLike, qsplit: bool = False) -> StructuredModule:
     """F^dim concentrated in one degree; dim 0 gives the zero module."""
     if dim == 0:
         return StructuredModule()
-    return StructuredModule(boxes=(Box(as_grading(deg), dim, qsplit),))
+    return StructuredModule(boxes=(Box(deg, dim, qsplit),))
 
 
 def direct_sum(*mods: StructuredModule) -> StructuredModule:
@@ -374,7 +361,9 @@ class StandardModule:
     the c-tower into the b-tower and the b-tower into the a-tower. For those
     links to be grading-compatible (Q has degree -1, towers have step 4) the
     starts must satisfy b = a+1 and c = b+1 mod 4, i.e. alpha - beta and
-    beta - gamma are even. The ordering alpha >= beta >= gamma is required.
+    beta - gamma are even. The ordering alpha >= beta >= gamma is required,
+    and the three starts must be integers (ValueError names the first that
+    is not); ``tower_starts`` returns them as ints.
     """
 
     alpha: Fraction
@@ -390,6 +379,7 @@ class StandardModule:
         object.__setattr__(self, "gamma", g)
         if not (a >= b >= g):
             raise ValueError(f"correction terms must be ordered: {a} >= {b} >= {g} fails")
+        gaps = []
         for hi_, lo_, name in ((a, b, "alpha-beta"), (b, g, "beta-gamma")):
             d = hi_ - lo_
             if not _is_int(d) or d.numerator % 2:
@@ -397,9 +387,15 @@ class StandardModule:
                     f"{name} difference {d} must be an even integer for the "
                     "Q-links between towers to be grading-compatible"
                 )
+            gaps.append(2 * d.numerator)
+        # with both differences even integers, the starts are integers
+        # exactly when 2*alpha is; each lies 1 - 2*difference above the last
+        start_a = _as_degree(2 * a, "tower start")
+        start_b = start_a + 1 - gaps[0]
+        object.__setattr__(self, "_starts", (start_a, start_b, start_b + 1 - gaps[1]))
 
-    def tower_starts(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (2 * self.alpha, 2 * self.beta + 1, 2 * self.gamma + 2)
+    def tower_starts(self) -> tuple[int, int, int]:
+        return self._starts
 
     def to_structured(self, boxes: Sequence[Box] = ()) -> StructuredModule:
         a, b, c = self.tower_starts()
@@ -409,14 +405,14 @@ class StandardModule:
             links=((2, 1), (1, 0)),
         )
 
-    def dims(self, window) -> dict[Fraction, int]:
+    def dims(self, window) -> dict[int, int]:
         return dims(self.to_structured(), window)
 
 
 def standard_from_starts(a: GradingLike, b: GradingLike, c: GradingLike) -> StandardModule:
     """Build a standard module from its tower starts (a, b, c)."""
-    a, b, c = as_grading(a), as_grading(b), as_grading(c)
-    return StandardModule(a / 2, (b - 1) / 2, (c - 2) / 2)
+    a, b, c = (_as_degree(x, "tower start") for x in (a, b, c))
+    return StandardModule(Fraction(a, 2), Fraction(b - 1, 2), Fraction(c - 2, 2))
 
 
 @dataclass(frozen=True)
@@ -460,7 +456,7 @@ def reverse_orientation(ct: CorrectionTerms) -> CorrectionTerms:
     return CorrectionTerms(-ct.gamma, -ct.beta, -ct.alpha)
 
 
-def classify_parity(s_dims: Mapping[Fraction, int], h: GradingLike) -> str:
+def classify_parity(s_dims: Mapping[int, int], h: GradingLike) -> str:
     """Which mod-4 class near the top of the window the module misses.
 
     'even' when degrees congruent to 2h-1 (mod 4) are absent from the top
@@ -496,13 +492,10 @@ def _grading_to_json(x: Fraction):
 
 
 def module_to_json(m: StructuredModule) -> dict:
-    towers = [
-        {"base": _grading_to_json(t.base), "step": t.step, "kind": "plus"}
-        for t in m.towers
-    ]
+    towers = [{"base": t.base, "step": t.step, "kind": "plus"} for t in m.towers]
     boxes = []
     for b in m.boxes:
-        entry: dict = {"deg": _grading_to_json(b.deg), "dim": b.dim}
+        entry: dict = {"deg": b.deg, "dim": b.dim}
         if b.qsplit:
             entry["qsplit"] = True
         boxes.append(entry)
@@ -514,16 +507,17 @@ def module_to_json(m: StructuredModule) -> dict:
 
 
 def module_from_json(data: Mapping) -> StructuredModule:
-    """Inverse of ``module_to_json``; every tower must be a plus tower."""
+    """Inverse of ``module_to_json``; every tower must be a plus tower and
+    every degree an integer (ValueError names the tower or box index)."""
     towers = []
     for idx, t in enumerate(data.get("towers", ())):
         kind = t.get("kind", "plus")
         if kind != "plus":
             raise ValueError(f"tower {idx} has kind {kind!r}; only 'plus' towers exist")
-        towers.append(Tower(as_grading(t["base"]), int(t.get("step", 4))))
+        towers.append(Tower(_as_degree(t["base"], f"tower {idx} base"), int(t.get("step", 4))))
     boxes = tuple(
-        Box(as_grading(b["deg"]), int(b["dim"]), bool(b.get("qsplit", False)))
-        for b in data.get("boxes", ())
+        Box(_as_degree(b["deg"], f"box {idx} degree"), int(b["dim"]), bool(b.get("qsplit", False)))
+        for idx, b in enumerate(data.get("boxes", ()))
     )
     links = tuple((int(i), int(j)) for i, j in data.get("links", ()))
     return StructuredModule(towers=towers, boxes=boxes, links=links)

@@ -338,8 +338,8 @@ def _resolve_single_family(core: StructuredModule) -> FamilyAnswer:
     """
     if len(core.towers) != 1 or core.towers[0].step != 2:
         raise GysinError("expected a single step-2 tower plus boxes")
-    base = int(core.towers[0].base)
-    degs = {int(b.deg) for b in core.boxes if not b.qsplit}
+    base = core.towers[0].base
+    degs = {b.deg for b in core.boxes if not b.qsplit}
     n = sum(b.dim for b in core.boxes if not b.qsplit)
     if len(degs) > 1:
         raise GysinError("no single-degree closed form for multi-degree boxes")
@@ -356,37 +356,14 @@ def _resolve_single_family(core: StructuredModule) -> FamilyAnswer:
     return closed_form_corrected(family, n, box_deg=box_deg)
 
 
-def hs_plus_one_surgery(kd: KnotData, method: str = "closed") -> FamilyAnswer:
+def hs_plus_one_surgery(kd: KnotData) -> FamilyAnswer:
     """Pin(2)-side answer of +1-surgery.
 
-    ``method='closed'`` (default) resolves through the certified closed
-    form, which always applies here: the non-qsplit part of the +1-surgery
-    module is one tower plus boxes in a single degree. ``method='oracle'``
-    instead demands a unique search result and errors on the family-2
-    odd-count inputs where the rank bookkeeping alone leaves two survivors.
+    Resolved through the certified closed form, which always applies here:
+    the non-qsplit part of the +1-surgery module is one tower plus boxes in
+    a single degree.
     """
-    core = _plus_one_core(kd)
-    if method == "closed":
-        return _resolve_single_family(core)
-    if method != "oracle":
-        raise KnotError(f"unknown method {method!r}")
-    sol = oracle_solve(core)
-    if not sol.unique:
-        raise GysinError(
-            f"{len(sol.candidates)} feasible Gysin partners; cannot resolve "
-            "by search alone"
-        )
-    cand = sol.candidates[0]
-    box_dim = sum(b.dim for b in cand.boxes)
-    box_deg = int(cand.boxes[0].deg) if cand.boxes else kd.signature // 2 - 1
-    parity = "even" if (2 * cand.standard.alpha - int(core.towers[0].base)) % 4 == 0 else "odd"
-    return FamilyAnswer(
-        standard=cand.standard,
-        box_dim=box_dim,
-        box_deg=box_deg,
-        parity_label=parity,
-        certificate=cand.certificate,
-    )
+    return _resolve_single_family(_plus_one_core(kd))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +522,7 @@ def zero_surgery_bar_towers(hs_plus: StandardModule, arf: int) -> BarTowers:
     """
     if arf not in (0, 1):
         raise KnotError(f"Arf invariant must be 0 or 1, got {arf}")
-    a, b, c = (int(v) for v in hs_plus.tower_starts())
+    a, b, c = hs_plus.tower_starts()
     if arf == 1:
         bases: tuple[int, ...] = (1, 0, b, a)
         links = ((0, 1), (2, 3))
@@ -583,7 +560,7 @@ def minus_one_towers(quad: BarTowers) -> StandardModule:
         out = StandardModule(0, 0, 0)
         pairs = (((3, 0), (4, 1), (5, 2)), (), ((0, 2), (1, 1), (2, 0)))
     # f_zero: quad -> S_BAR, f_inf: S_BAR -> abc, f_minus: abc -> quad
-    abc = tuple(int(v) for v in out.tower_starts())
+    abc = out.tower_starts()
     _verify_bar_triangle(
         (quad.bases, _S_BAR, abc), pairs, (0, 0, -1), "-1-surgery two-sided triangle"
     )
@@ -920,8 +897,8 @@ def catalog_check(entry: CatalogEntry) -> None:
             f"{entry.name}: partner has correction terms {got}, catalog says {entry.ct}"
         )
     if not entry.boxes_undefined:
-        want = tuple(sorted((int(b.deg), b.dim) for b in entry.hs.boxes))
-        have = tuple(sorted((int(b.deg), b.dim) for b in cand.boxes))
+        want = tuple(sorted((b.deg, b.dim) for b in entry.hs.boxes))
+        have = tuple(sorted((b.deg, b.dim) for b in cand.boxes))
         if want != have:
             raise AssertionError(
                 f"{entry.name}: partner boxes {have} disagree with catalog {want}"

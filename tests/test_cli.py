@@ -195,6 +195,16 @@ def test_gysin_bad_box_spec(capsys):
     assert "DEG:DIM" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_gysin_solve_rejects_a_survivor_cap_below_one(capsys, cap, json_flag):
+    argv = ["gysin", "solve", "--tower", "0", "--box", "-1:2", "--max-solutions", cap]
+    assert main(argv + json_flag) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--max-solutions must be >= 1, got {cap}" in out.err
+
+
 def test_homalg_triangle_acyclic(tmp_path, capsys):
     rng = random.Random(0)
     f1, f2, h1 = random_admissible_triple(rng, (0, 1, 2, 3), method="cone")

@@ -42,6 +42,7 @@ from pin2floer.complexes import (
     triangle_bundle_to_json,
     triangle_detect,
 )
+from pin2floer.complexes import _check_homotopy_identity
 from pin2floer.gf2 import ContractError, F2Matrix
 
 # -- containers ----------------------------------------------------------------
@@ -138,6 +139,42 @@ def test_iterated_cone_rejects_bad_homotopy():
         iterated_mapping_cone(f1, f2, bad)
     except ValueError:
         pass  # either the identity fails (usual) or the corruption was invisible
+
+
+def _flip_bit(h: Homotopy, k: int, row: int, col: int) -> Homotopy:
+    m = h.block_at(k)
+    bits = list(m.bits)
+    bits[row] ^= 1 << col
+    return Homotopy(h.source, h.target, {**h.blocks, k: F2Matrix(m.rows, m.cols, bits)}, h.degree)
+
+
+def _bad_homotopies():
+    """Every one-bit corruption of an admissible H1 that breaks the identity."""
+    f1, f2, h1 = random_admissible_triple(random.Random(5), (0, 1, 2), method="formula")
+    for k in sorted(h1.source.dims):
+        m = h1.block_at(k)
+        for row in range(m.rows):
+            for col in range(m.cols):
+                bad = _flip_bit(h1, k, row, col)
+                try:
+                    _check_homotopy_identity(f1, f2, bad)
+                except ValueError as e:
+                    yield f1, f2, bad, e
+
+
+def test_triangle_detect_rejects_bad_homotopy_with_the_identity_error():
+    # the cone is built first and checks the identity; the error must be the
+    # one the direct check raises
+    cases = list(_bad_homotopies())
+    assert cases
+    for f1, f2, bad, want in cases:
+        with pytest.raises(ValueError) as got:
+            triangle_detect(f1, f2, bad)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+        assert "homotopy identity d3*H1 + H1*d1 = f2*f1 fails at degree" in str(want)
+    f1, f2, h1 = random_admissible_triple(random.Random(5), (0, 1, 2), method="formula")
+    with pytest.raises(ContractError, match=r"must have degree \+1, got 2"):
+        triangle_detect(f1, f2, Homotopy(h1.source, h1.target, {}, degree=2))
 
 
 def test_triangle_detect_cone_method_always_acyclic():

@@ -117,23 +117,23 @@ def test_source_validation():
 
 
 def test_feasibility_rejects_fractional_candidate_box():
-    # a box at 1/2 used to be folded onto degree 0 and certified
-    cand = StandardModule(0, 0, 0).to_structured((Box(Fraction(1, 2), 1),))
-    with pytest.raises(GysinError, match="candidate box at non-integer degree 1/2"):
-        feasibility_check(T_plus(0), cand)
+    # a box at 1/2 used to be folded onto degree 0 and certified; now no
+    # such candidate can be built
+    with pytest.raises(ValueError, match="box degree 1/2 is not an integer"):
+        StandardModule(0, 0, 0).to_structured((Box(Fraction(1, 2), 1),))
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 3)])
 def test_feasibility_rejects_fractional_tower_starts(alpha):
-    cand = StandardModule(alpha, alpha, alpha).to_structured()
     start = format_grading(2 * alpha)
-    with pytest.raises(GysinError, match=f"candidate tower base {start} is not"):
-        feasibility_check(T_plus(0), cand)
+    assert start in ("1/2", "-1/2", "2/3")
+    with pytest.raises(ValueError, match=f"tower start {start} is not an integer"):
+        StandardModule(alpha, alpha, alpha)
 
 
 def test_known_side_must_be_integral():
-    with pytest.raises(GysinError, match="known-side box at non-integer degree -1/2"):
-        feasibility_check(T_plus(0) + F_box(1, Fraction(-1, 2)), T_plus(0))
+    with pytest.raises(ValueError, match="box degree -1/2 is not an integer"):
+        T_plus(0) + F_box(1, Fraction(-1, 2))
 
 
 # -- search budgets name the window they ran in -----------------------------------
@@ -154,6 +154,19 @@ def test_survivor_cap_error_names_window_and_cap():
         match=r"survivors \(2 > max_solutions=1\) in window \[-8, 9\]",
     ):
         oracle_solve(m, max_solutions=1)
+
+
+@pytest.mark.parametrize("name", ["max_solutions", "max_nodes"])
+@pytest.mark.parametrize("limit", [0, -1])
+def test_search_limits_below_one_are_rejected_up_front(name, limit):
+    # without the check, 0 gave "implausibly many survivors (1 > 0)" or an
+    # exceeded node budget, after part of the search had run
+    with pytest.raises(GysinError, match=f"^{name} must be >= 1, got {limit}$"):
+        oracle_solve(T_plus(0) + F_box(1, -1), **{name: limit})
+
+
+def test_a_survivor_cap_of_one_admits_a_unique_partner():
+    assert oracle_solve(T_plus(0) + F_box(1, -1), max_solutions=1).unique
 
 
 def test_no_partner_error_names_window():

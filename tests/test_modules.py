@@ -165,13 +165,14 @@ def test_q_rank_profile_empty_window_raises():
 
 def test_degree_kernel_units():
     m = standard_from_starts(0, 1, 2).to_structured((Box(-1, 2),))
-    d, dim, qrank = degree_kernel(m, (-2, 6))
-    assert d == 1
+    dim, qrank = degree_kernel(m, (-2, 6))
     assert dim == {0: 1, 4: 1, 1: 1, 5: 1, 2: 1, 6: 1, -1: 2}
     assert qrank == {2: 1, 6: 1, 1: 1, 5: 1}
-    # a half-integer window end counts in halves
-    d, dim, qrank = degree_kernel(T_plus(0), (Fraction(-1, 2), 2))
-    assert (d, dim, qrank) == (2, {0: 1, 4: 1}, {})
+    assert all(type(z) is int for z in (*dim, *qrank))
+    # integral Fractions are integers; a half-integer window end is not
+    assert degree_kernel(T_plus(0), (Fraction(-2), Fraction(4))) == ({0: 1, 2: 1, 4: 1}, {})
+    with pytest.raises(ValueError, match="window end -1/2 is not an integer"):
+        degree_kernel(T_plus(0), (Fraction(-1, 2), 2))
 
 
 # -- the integer kernel against the per-degree walk it replaced ----------------
@@ -210,25 +211,22 @@ def _ref_q_rank_profile(m, window):
     return out
 
 
-_denominators = st.sampled_from([1, 2, 3, 4, 8])
-_gradings = st.builds(lambda n, d: Fraction(n, d), st.integers(-80, 80), _denominators)
+_gradings = st.integers(-80, 80)
 
 
 @st.composite
 def _modules_and_windows(draw):
-    # most gradings share one fractional part, so that the window lattice
-    # lines up, and tower i often starts one above tower i-1 (mod 4), as in
-    # a Q-chain, so that links fire; the rest are arbitrary rationals
-    d = draw(_denominators)
-    shift = Fraction(draw(st.integers(0, d - 1)), d)
+    # most gradings lie near 0, and tower i often starts one above tower i-1
+    # (mod 4), as in a Q-chain, so that links fire; the rest are arbitrary
+    # integers
     gradings = st.one_of(
-        st.builds(lambda n: shift + n, st.sampled_from(range(-8, 9))),
-        st.builds(lambda n: shift + n, st.sampled_from(range(-8, 9))),
+        st.sampled_from(range(-8, 9)),
+        st.sampled_from(range(-8, 9)),
         _gradings,
     )
     towers = []
     for i in range(draw(st.integers(0, 4))):
-        chained = st.integers(-2, 2).map(lambda k, i=i: shift + i + 4 * k)
+        chained = st.integers(-2, 2).map(lambda k, i=i: i + 4 * k)
         base = draw(st.one_of(gradings, chained))
         towers.append(Tower(base, draw(st.sampled_from([2, 4]))))
     n = len(towers)
@@ -239,7 +237,7 @@ def _modules_and_windows(draw):
         links = [draw(st.one_of(pairs, down)) for _ in range(draw(st.integers(0, 4)))]
     boxes = draw(st.lists(st.builds(Box, gradings, st.integers(1, 3)), max_size=3))
     lo = draw(gradings)
-    hi = lo + draw(st.builds(Fraction, st.integers(0, 120), st.sampled_from([1, 2, 8])))
+    hi = lo + draw(st.integers(0, 120))
     return StructuredModule(tuple(towers), tuple(boxes), tuple(links)), (lo, hi)
 
 
@@ -252,7 +250,7 @@ def test_kernel_matches_per_degree_walk(case):
         (q_rank_profile(m, window), _ref_q_rank_profile(m, window)),
     ):
         assert got == want
-        assert all(type(k) is Fraction for k in got)
+        assert all(type(k) is int for k in got)
 
 
 def test_direct_sum_accumulates():
@@ -361,10 +359,42 @@ def test_classify_parity_on_standards():
 def test_module_json_roundtrip():
     m = direct_sum(
         standard_from_starts(-2, -1, 0).to_structured(),
-        F_box(3, Fraction(-1, 2), qsplit=True),
+        F_box(3, -1, qsplit=True),
     )
     again = module_from_json(module_to_json(m))
     assert again == m
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"towers": [{"base": 0}, {"base": "1/2"}]}, "tower 1 base 1/2"),
+        ({"boxes": [{"deg": -1, "dim": 1}, {"deg": "1/2", "dim": 2}]}, "box 1 degree 1/2"),
+    ],
+)
+def test_module_json_rejects_fractional_degrees(doc, named):
+    with pytest.raises(ValueError, match=f"{named} is not an integer"):
+        module_from_json(doc)
+
+
+def test_integral_degrees_are_stored_as_int():
+    for value in (4, Fraction(4), "4"):
+        assert type(Tower(value).base) is int and Tower(value).base == 4
+    assert type(Box("3", 1).deg) is int and Box("3", 1).deg == 3
+    assert type(Box(Fraction(3), 1).deg) is int
+    assert module_from_json({"towers": [{"base": "-2", "step": 2}]}) == T_plus(-2)
+    s = StandardModule(Fraction(1, 2), Fraction(-3, 2), Fraction(-3, 2))
+    assert s.tower_starts() == (1, -2, -1)
+    assert all(type(x) is int for x in s.tower_starts())
+    assert all(type(z) is int for z in RingElement.monomial(2, 1).degrees())
+
+
+@pytest.mark.parametrize("value", [True, False, Fraction(1, 2), "1/2", "x", 1.0, None])
+def test_non_integer_degrees_raise(value):
+    with pytest.raises(ValueError, match=f"tower base {value} is not an integer"):
+        Tower(value)
+    with pytest.raises(ValueError, match=f"box degree {value} is not an integer"):
+        Box(value, 1)
 
 
 def test_format_grading():

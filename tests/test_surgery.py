@@ -25,7 +25,7 @@ from pin2floer.modules import (
     T_plus,
     dims,
 )
-from pin2floer.gysin import GysinError
+from pin2floer.gysin import GysinError, oracle_solve
 from pin2floer.surgery import (
     KnotData,
     KnotError,
@@ -225,10 +225,15 @@ def test_hs_plus_one_frozen_values():
 
 
 def test_hs_plus_one_oracle_path_agrees():
+    # the closed form must be the unique search result on the same core
     for name, spec in [("trefoil", TREFOIL), ("fig8", FIG8)]:
-        closed = hs_plus_one_surgery(_knot(name, spec), method="closed")
-        via_oracle = hs_plus_one_surgery(_knot(name, spec), method="oracle")
-        assert closed.standard == via_oracle.standard
+        kd = _knot(name, spec)
+        closed = hs_plus_one_surgery(kd)
+        sol = oracle_solve(_plus_one_core(kd))
+        assert sol.unique
+        (cand,) = sol.candidates
+        assert closed.standard == cand.standard
+        assert closed.module() == cand.module
 
 
 # -- tables ---------------------------------------------------------------------------
