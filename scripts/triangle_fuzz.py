@@ -3,8 +3,10 @@
 
 Longer-running cousin of the property tests: draws admissible triples and
 filtered complexes until the trial budget runs out, checking the exactness
-and limit identities on every one. Prints a summary; exits nonzero on the
-first counterexample (none are known).
+and limit identities on every one. Each triangle verdict is checked against
+the homology of the iterated cone: a NotAcyclic report must carry exactly
+its dimensions, and a detected triangle needs an acyclic cone. Prints a
+summary; exits nonzero on the first counterexample (none are known).
 
     python3 scripts/triangle_fuzz.py --trials 500 --seed 1
 """
@@ -46,9 +48,20 @@ def main(argv=None) -> int:
             if not cone.d_at(k - 1).mul(cone.d_at(k)).is_zero():
                 print(f"trial {trial}: d^2 != 0 at degree {k}", file=sys.stderr)
                 return 1
+        cone_dims = homology(cone).dims
         tri = triangle_detect(f1, f2, h1)
         if isinstance(tri, NotAcyclic):
+            if tri.homology_dims != cone_dims:
+                print(
+                    f"trial {trial}: NotAcyclic dims {tri.homology_dims} != "
+                    f"cone homology {cone_dims}",
+                    file=sys.stderr,
+                )
+                return 1
             continue
+        if cone_dims:
+            print(f"trial {trial}: triangle detected, cone homology {cone_dims}", file=sys.stderr)
+            return 1
         acyclic += 1
         report = check_exact_triangle(tri.f1_star, tri.f2_star, tri.f3)
         if not report.ok:
@@ -72,7 +85,8 @@ def main(argv=None) -> int:
 
     dt = time.perf_counter() - t0
     print(
-        f"{args.trials} triangle trials ({acyclic} acyclic, all exact), "
+        f"{args.trials} triangle trials ({acyclic} acyclic, all exact, all verdicts "
+        "match the cone's homology), "
         f"{ss_trials} spectral trials, all limits match homology  [{dt:.1f}s]"
     )
     return 0

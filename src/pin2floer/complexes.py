@@ -11,14 +11,15 @@ integer degrees. The pieces:
   ``Homotopy`` adds the source and target complexes; ``ChainMap`` is a
   homotopy whose dF + Fd vanishes, checked at construction.
 * ``mapping_cone`` and ``iterated_mapping_cone`` -- the one- and two-step
-  cone constructions, the latter taking (f1, f2, H1) with
-  d3 H1 + H1 d1 = f2 f1.
-* ``triangle_detect`` -- decides whether the iterated cone is acyclic and,
+  cone constructions. The latter takes (f1, f2, H1) with
+  d3 H1 + H1 d1 = f2 f1 and is the cone of the comparison map
+  g = (f2, H1): cone(f1) -> C3, built in one place.
+* ``triangle_detect`` -- decides whether the iterated cone is acyclic from
+  g_* alone (the long exact sequence of cone(g) gives its homology) and,
   when it is, emits the induced exact triangle on homology, including the
-  degree -1 connecting map obtained by inverting the comparison iso.
+  degree -1 connecting map obtained by inverting the iso g_*.
 * ``check_exact_triangle`` -- rank-level exactness audit of a triangle of
-  graded maps, reusable for any graded vector spaces (integer or rational
-  degrees).
+  graded maps, reusable for any graded vector spaces.
 * ``assemble_monopole_complexes`` -- builds the three flavors of monopole
   complex from the eight block maps and validates d^2 = 0.
 * ``iterated_cone_module_action`` -- extends compatible module actions on
@@ -144,9 +145,8 @@ class GradedComplex:
 class GradedMap:
     """A degree-homogeneous linear map between graded F2 spaces.
 
-    ``src`` and ``tgt`` are degree -> dimension mappings; blocks are indexed
-    by source degree and all-zero blocks are dropped. Degrees may be ints or
-    Fractions, as long as they are mutually comparable.
+    ``src`` and ``tgt`` are degree -> dimension mappings with int degrees;
+    blocks are indexed by source degree and all-zero blocks are dropped.
     """
 
     __slots__ = ("src", "tgt", "degree", "blocks")
@@ -355,7 +355,7 @@ def check_exact_triangle(
             ks = set(inc.tgt) | {k + inc.degree for k in inc.src} | set(out.src)
         else:
             ks = set(degrees)
-        for k in sorted(ks, key=lambda x: (float(x))):
+        for k in sorted(ks):
             dim_here = inc.tgt.get(k, 0)
             rk_in = inc.block_at(k - inc.degree).rank()
             rk_out = out.block_at(k).rank()
@@ -478,29 +478,26 @@ def _check_homotopy_identity(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> None:
             )
 
 
+def _comparison_map(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> tuple[ChainMap, ChainMap]:
+    """The projection cone(f1) -> C1 and the comparison map g = (f2, H1): cone(f1) -> C3.
+
+    g is a chain map exactly when d3*H1 + H1*d1 = f2*f1, so that identity is
+    checked first and a bad homotopy raises its error, not g's.
+    """
+    _check_homotopy_identity(f1, f2, h1)
+    cone1, _incl, proj = mapping_cone(f1)
+    g_blocks = {k: F2Matrix.hstack([f2.block_at(k), h1.block_at(k - 1)]) for k in cone1.dims}
+    return proj, ChainMap(cone1, f2.target, g_blocks)
+
+
 def iterated_mapping_cone(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> GradedComplex:
     """The two-step cone of (f1, f2, H1) with its upper-triangular differential.
 
     Degree k carries C3_k + C2_{k-1} + C1_{k-2} with differential
-    [[d3, f2, H1], [0, d2, f1], [0, 0, d1]].
+    [[d3, f2, H1], [0, d2, f1], [0, 0, d1]]: the cone of the comparison map
+    g = (f2, H1): cone(f1) -> C3.
     """
-    _check_homotopy_identity(f1, f2, h1)
-    c1, c2, c3 = f1.source, f1.target, f2.target
-    ks = set(c3.dims) | {k + 1 for k in c2.dims} | {k + 2 for k in c1.dims}
-    ks |= {k + 1 for k in ks}
-    dims = {k: c3.dim_at(k) + c2.dim_at(k - 1) + c1.dim_at(k - 2) for k in ks}
-    d = {}
-    for k in ks:
-        d[k] = F2Matrix.block(
-            [
-                [c3.d_at(k), f2.block_at(k - 1), h1.block_at(k - 2)],
-                [None, c2.d_at(k - 1), f1.block_at(k - 2)],
-                [None, None, c1.d_at(k - 2)],
-            ],
-            row_dims=[c3.dim_at(k - 1), c2.dim_at(k - 2), c1.dim_at(k - 3)],
-            col_dims=[c3.dim_at(k), c2.dim_at(k - 1), c1.dim_at(k - 2)],
-        )
-    return GradedComplex(dims, d)
+    return mapping_cone(_comparison_map(f1, f2, h1)[1])[0]
 
 
 @dataclass(frozen=True)
@@ -523,54 +520,33 @@ class Triangle:
 def triangle_detect(f1: ChainMap, f2: ChainMap, h1: Homotopy):
     """Decide acyclicity of the iterated cone and emit the exact triangle.
 
-    The iterated cone is the cone of g = (f2 + H1): cone(f1) -> C3. It is
-    acyclic exactly when g induces an isomorphism on homology; in that case
-    the connecting map is F3 = (projection)_* composed with that iso's
-    inverse, and the triangle ((f1)_*, (f2)_*, F3) is exact. Otherwise a
-    NotAcyclic report with the homology dimensions comes back. The cone is
-    built first, so a bad homotopy raises before anything else is done.
+    The iterated cone is the cone of g = (f2, H1): cone(f1) -> C3, so its
+    long exact sequence gives dim H_k = (dim H_k(C3) - rank delta_k) +
+    (dim H_{k-1}(cone f1) - rank delta_{k-1}) with delta = g_*. Any nonzero
+    dimension comes back as a NotAcyclic report. Otherwise delta is an
+    isomorphism, the connecting map is F3 = (projection)_* delta^{-1}, and
+    the triangle ((f1)_*, (f2)_*, F3) is exact. The homotopy identity is
+    checked before anything else is done.
     """
-    big = iterated_mapping_cone(f1, f2, h1)  # checks the homotopy identity
-    c1, c2, c3 = f1.source, f1.target, f2.target
-    cone1, _incl, proj = mapping_cone(f1)
-    g_blocks = {}
-    for k in cone1.dims:
-        g_blocks[k] = F2Matrix.hstack([f2.block_at(k), h1.block_at(k - 1)])
-    g = ChainMap(cone1, c3, g_blocks, degree=0)
-
-    h_big = homology(big)
-    if h_big.dims:
-        return NotAcyclic(homology_dims=h_big.dims)
-
-    hc1 = _HomologyIndex(c1)
-    hc2 = _HomologyIndex(c2)
-    hc3 = _HomologyIndex(c3)
-    hcone = _HomologyIndex(cone1)
-
+    proj, g = _comparison_map(f1, f2, h1)
+    hcone, hc3 = _HomologyIndex(g.source), _HomologyIndex(g.target)
     delta = induced_map(g, hcone, hc3)
-    # acyclicity of the cone of g forces delta to be an isomorphism
-    inv_blocks = {}
-    for k in sorted(set(hc3.dims()) | set(hcone.dims())):
-        try:
-            inv_blocks[k] = delta.block_at(k).inverse()
-        except ContractError:
-            raise AssertionError(
-                "comparison map is not an isomorphism despite an acyclic cone"
-            ) from None
-    delta_inv = GradedMap(hc3.dims(), hcone.dims(), 0, inv_blocks)
+    ranks = {k: m.rank() for k, m in delta.blocks.items()}
+    cone_dims = {}
+    for k in sorted(set(hc3.dims()) | {k + 1 for k in hcone.dims()}):
+        n = hc3.dim_at(k) - ranks.get(k, 0) + hcone.dim_at(k - 1) - ranks.get(k - 1, 0)
+        if n:
+            cone_dims[k] = n
+    if cone_dims:
+        return NotAcyclic(homology_dims=cone_dims)
 
+    hc1, hc2 = _HomologyIndex(f1.source), _HomologyIndex(f1.target)
     proj_star = induced_map(proj, hcone, hc1)
-    f3_blocks = {}
-    for k in hc3.dims():
-        f3_blocks[k] = proj_star.block_at(k).mul(delta_inv.block_at(k))
-    f3 = GradedMap(hc3.dims(), hc1.dims(), -1, f3_blocks)
-
-    f1_star = induced_map(f1, hc1, hc2)
-    f2_star = induced_map(f2, hc2, hc3)
+    f3_blocks = {k: proj_star.block_at(k).mul(delta.block_at(k).inverse()) for k in hc3.dims()}
     return Triangle(
-        f1_star=f1_star,
-        f2_star=f2_star,
-        f3=f3,
+        f1_star=induced_map(f1, hc1, hc2),
+        f2_star=induced_map(f2, hc2, hc3),
+        f3=GradedMap(hc3.dims(), hc1.dims(), -1, f3_blocks),
         h_dims=(hc1.dims(), hc2.dims(), hc3.dims()),
     )
 

@@ -35,6 +35,7 @@ from .modules import (
     StandardModule,
     StructuredModule,
     T_plus,
+    _standard_structured,
     degree_kernel,
     standard_from_starts,
 )
@@ -242,12 +243,12 @@ def oracle_solve(
     nodes = 0
 
     # a is even, b = a+1-4i and c = b+1-4j (i, j >= 0): every skeleton is a
-    # valid standard module, so a construction error here is a bug
+    # valid standard module, so a construction error here is a bug. Skeletons
+    # are built from the integer starts; a StandardModule only per survivor.
     for a in range(smin - 2 + (smin % 2), box_top + 1, 2):
         for b in range(a + 1, smin - 3, -4):
             for c in range(b + 1, smin - 3, -4):
-                std = standard_from_starts(a, b, c)
-                skel = std.to_structured()
+                skel = _standard_structured(a, b, c)
                 st_dims, t_prof = degree_kernel(skel, (lo - 1, hi + 1))
 
                 # depth-first over degrees, state = (k, q_k, boxes so far)
@@ -262,16 +263,13 @@ def oracle_solve(
                         )
                     k, qk, boxes, s_prev = stack.pop()
                     if k > hi:
-                        full = std.to_structured(boxes)
+                        full = _standard_structured(a, b, c, boxes)
                         cert = feasibility_check(m, full, window=(lo, hi))
                         if isinstance(cert, GysinCertificate):
-                            key = (
-                                std.tower_starts(),
-                                tuple(sorted((b_.deg, b_.dim) for b_ in boxes)),
-                            )
-                            found.setdefault(
-                                key, GysinCandidate(std, boxes, full, cert)
-                            )
+                            key = ((a, b, c), tuple(sorted((b_.deg, b_.dim) for b_ in boxes)))
+                            if key not in found:
+                                std = standard_from_starts(a, b, c)
+                                found[key] = GysinCandidate(std, boxes, full, cert)
                             if len(found) > max_solutions:
                                 raise GysinError(
                                     "candidate search found implausibly many "

@@ -398,15 +398,23 @@ class StandardModule:
         return self._starts
 
     def to_structured(self, boxes: Sequence[Box] = ()) -> StructuredModule:
-        a, b, c = self.tower_starts()
-        return StructuredModule(
-            towers=(Tower(a, 4), Tower(b, 4), Tower(c, 4)),
-            boxes=tuple(boxes),
-            links=((2, 1), (1, 0)),
-        )
+        return _standard_structured(*self.tower_starts(), boxes)
 
     def dims(self, window) -> dict[int, int]:
         return dims(self.to_structured(), window)
+
+
+def _standard_structured(a: int, b: int, c: int, boxes: Sequence[Box] = ()) -> StructuredModule:
+    """Three step-4 towers at starts (a, b, c) with Q-links c -> b -> a, plus boxes.
+
+    Unlike ``standard_from_starts`` it checks nothing and computes no
+    correction terms, so the Gysin search can build skeletons cheaply.
+    """
+    return StructuredModule(
+        towers=(Tower(a, 4), Tower(b, 4), Tower(c, 4)),
+        boxes=tuple(boxes),
+        links=((2, 1), (1, 0)),
+    )
 
 
 def standard_from_starts(a: GradingLike, b: GradingLike, c: GradingLike) -> StandardModule:

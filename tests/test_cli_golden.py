@@ -1,4 +1,4 @@
-"""Replay recorded ``p2f catalog`` and ``p2f gysin solve`` output byte for byte.
+"""Replay recorded ``p2f catalog``, ``p2f gysin solve`` and ``p2f homalg triangle`` output.
 
 ``data/cli_golden/catalog/<name>.json`` is the stdout of
 
@@ -9,6 +9,14 @@ holds the stdout of ``p2f gysin solve`` with and without ``--json`` for the
 two README inputs and the two window-pad baseline inputs of the roadmap (one
 input is in both sets). They pin module JSON with step-4 towers and Q-links.
 All were recorded while module degrees were still stored as ``Fraction``.
+
+``data/cli_golden/homalg/<case>.bundle.json`` is
+``triangle_bundle_to_json(*random_admissible_triple(random.Random(seed),
+(0, 1, 2, 3), method=...))`` for two acyclic (``method="cone"``, seeds 4 and
+18) and two non-acyclic (``method="formula"``, seeds 8 and 10) triples;
+``<case>.txt`` and ``<case>.json`` hold the stdout of
+``p2f homalg triangle --file <bundle> [--json]``, recorded while
+``triangle_detect`` still computed the homology of the iterated cone.
 """
 
 from __future__ import annotations
@@ -54,3 +62,19 @@ def test_catalog_replays_golden(name):
 def test_gysin_solve_replays_golden(case, mode):
     argv = ["gysin", "solve", *GYSIN_INPUTS[case]] + (["--json"] if mode == "json" else [])
     assert _p2f(*argv) == (DATA / "gysin" / f"{case}.{mode}").read_bytes()
+
+
+HOMALG_CASES = ["acyclic_seed18", "acyclic_seed4", "cyclic_seed10", "cyclic_seed8"]
+
+
+def test_homalg_fixture_holds_every_case():
+    bundles = sorted((DATA / "homalg").glob("*.bundle.json"))
+    assert [p.name[: -len(".bundle.json")] for p in bundles] == sorted(HOMALG_CASES)
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+@pytest.mark.parametrize("case", HOMALG_CASES)
+def test_homalg_triangle_replays_golden(case, mode):
+    argv = ["homalg", "triangle", "--file", str(DATA / "homalg" / f"{case}.bundle.json")]
+    argv += ["--json"] if mode == "json" else []
+    assert _p2f(*argv) == (DATA / "homalg" / f"{case}.{mode}").read_bytes()

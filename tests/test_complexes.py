@@ -18,6 +18,7 @@ from pin2floer.complexes import (
     GradedMap,
     Homotopy,
     NotAcyclic,
+    Triangle,
     assemble_monopole_complexes,
     chain_map_from_json,
     chain_map_to_json,
@@ -42,7 +43,7 @@ from pin2floer.complexes import (
     triangle_bundle_to_json,
     triangle_detect,
 )
-from pin2floer.complexes import _check_homotopy_identity
+from pin2floer.complexes import _check_homotopy_identity, _HomologyIndex
 from pin2floer.gf2 import ContractError, F2Matrix
 
 # -- containers ----------------------------------------------------------------
@@ -124,21 +125,15 @@ def test_cone_long_exact_sequence():
 
 
 def test_iterated_cone_rejects_bad_homotopy():
-    rng = random.Random(2)
-    f1, f2, _h1 = random_admissible_triple(rng, (0, 1, 2))
-    c1, c3 = f1.source, f2.target
-    bad_bits = {
-        k: F2Matrix(
-            c3.dim_at(k + 1), c1.dim_at(k), [1] * c3.dim_at(k + 1)
-        )
-        for k in c1.dims
-        if c3.dim_at(k + 1) and c1.dim_at(k)
-    }
-    bad = Homotopy(c1, c3, bad_bits, degree=1)
-    try:
-        iterated_mapping_cone(f1, f2, bad)
-    except ValueError:
-        pass  # either the identity fails (usual) or the corruption was invisible
+    # the identity is checked before the comparison map g = (f2, H1) is
+    # built, so its error comes back, never g's chain-map error
+    cases = list(_bad_homotopies())
+    assert cases
+    for f1, f2, bad, want in cases:
+        with pytest.raises(ValueError) as got:
+            iterated_mapping_cone(f1, f2, bad)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+        assert "chain-map identity fails" not in str(got.value)
 
 
 def _flip_bit(h: Homotopy, k: int, row: int, col: int) -> Homotopy:
@@ -215,6 +210,105 @@ def test_acyclic_triples_give_exact_triangles(seed):
         return
     report = check_exact_triangle(tri.f1_star, tri.f2_star, tri.f3)
     assert report.ok, report.failures
+
+
+def _reference_iterated_cone(f1, f2, h1):
+    """The iterated cone assembled block by block, as it was built before it
+    became the cone of the comparison map."""
+    _check_homotopy_identity(f1, f2, h1)
+    c1, c2, c3 = f1.source, f1.target, f2.target
+    ks = set(c3.dims) | {k + 1 for k in c2.dims} | {k + 2 for k in c1.dims}
+    ks |= {k + 1 for k in ks}
+    dims = {k: c3.dim_at(k) + c2.dim_at(k - 1) + c1.dim_at(k - 2) for k in ks}
+    d = {}
+    for k in ks:
+        d[k] = F2Matrix.block(
+            [
+                [c3.d_at(k), f2.block_at(k - 1), h1.block_at(k - 2)],
+                [None, c2.d_at(k - 1), f1.block_at(k - 2)],
+                [None, None, c1.d_at(k - 2)],
+            ],
+            row_dims=[c3.dim_at(k - 1), c2.dim_at(k - 2), c1.dim_at(k - 3)],
+            col_dims=[c3.dim_at(k), c2.dim_at(k - 1), c1.dim_at(k - 2)],
+        )
+    return GradedComplex(dims, d)
+
+
+def _reference_triangle_detect(f1, f2, h1):
+    """triangle_detect as it was before it decided acyclicity from g_* alone:
+    the homology of the iterated cone decides, and g_* is then inverted
+    under the assertion that an acyclic cone makes it an isomorphism."""
+    big = _reference_iterated_cone(f1, f2, h1)
+    c1, c2, c3 = f1.source, f1.target, f2.target
+    cone1, _incl, proj = mapping_cone(f1)
+    g_blocks = {}
+    for k in cone1.dims:
+        g_blocks[k] = F2Matrix.hstack([f2.block_at(k), h1.block_at(k - 1)])
+    g = ChainMap(cone1, c3, g_blocks, degree=0)
+
+    h_big = homology(big)
+    if h_big.dims:
+        return NotAcyclic(homology_dims=h_big.dims)
+
+    hc1, hc2, hc3 = _HomologyIndex(c1), _HomologyIndex(c2), _HomologyIndex(c3)
+    hcone = _HomologyIndex(cone1)
+    delta = induced_map(g, hcone, hc3)
+    inv_blocks = {}
+    for k in sorted(set(hc3.dims()) | set(hcone.dims())):
+        try:
+            inv_blocks[k] = delta.block_at(k).inverse()
+        except ContractError:
+            raise AssertionError(
+                "comparison map is not an isomorphism despite an acyclic cone"
+            ) from None
+    delta_inv = GradedMap(hc3.dims(), hcone.dims(), 0, inv_blocks)
+
+    proj_star = induced_map(proj, hcone, hc1)
+    f3_blocks = {}
+    for k in hc3.dims():
+        f3_blocks[k] = proj_star.block_at(k).mul(delta_inv.block_at(k))
+    f3 = GradedMap(hc3.dims(), hc1.dims(), -1, f3_blocks)
+    return Triangle(
+        f1_star=induced_map(f1, hc1, hc2),
+        f2_star=induced_map(f2, hc2, hc3),
+        f3=f3,
+        h_dims=(hc1.dims(), hc2.dims(), hc3.dims()),
+    )
+
+
+def _assert_triangle_matches_reference(f1, f2, h1):
+    assert iterated_mapping_cone(f1, f2, h1) == _reference_iterated_cone(f1, f2, h1)
+    got, want = triangle_detect(f1, f2, h1), _reference_triangle_detect(f1, f2, h1)
+    assert type(got) is type(want)
+    if isinstance(want, NotAcyclic):
+        assert got.homology_dims == want.homology_dims
+        return got
+    assert got.h_dims == want.h_dims
+    for name in ("f1_star", "f2_star", "f3"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.src, a.tgt, a.degree, a.blocks) == (b.src, b.tgt, b.degree, b.blocks), name
+    return got
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["formula", "cone"]))
+@settings(max_examples=60, deadline=None)
+def test_triangle_detect_matches_reference(seed, method):
+    rng = random.Random(seed)
+    _assert_triangle_matches_reference(
+        *random_admissible_triple(rng, (0, 1, 2, 3), method=method)
+    )
+
+
+def test_bench_seed_one_triangles_match_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs, _expected, _props = importlib.import_module("gen").make_homalg_inputs(1)
+    docs = [item["doc"] for item in inputs if item["kind"] != "ss"]
+    assert len(docs) == 50
+    verdicts = {
+        type(_assert_triangle_matches_reference(*triangle_bundle_from_json(doc)))
+        for doc in docs
+    }
+    assert verdicts == {NotAcyclic, Triangle}
 
 
 def test_solve_homotopy_recovers_certificate():
