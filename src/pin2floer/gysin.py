@@ -62,9 +62,9 @@ class GysinError(ValueError):
 
 
 # Degrees the window reaches above the last feature. Over all 6,188 inputs of
-# tests/data/oracle_golden.json, 11, 16 and 20 give the same answers as 12,
-# while 8 changes 392 of them; a window derived from the recurrence itself
-# would replace this constant.
+# tests/data/oracle_golden.json, pads 11, 13, 16, 20, 24 and 40 give the same
+# candidates as 12, while 10, 9 and 8 change 28, 252 and 392 answers; a
+# window derived from the recurrence itself would replace this constant.
 _WINDOW_PAD = 12
 
 
@@ -207,6 +207,63 @@ class GysinSolution:
     window: tuple[int, int]
 
 
+_Starts = tuple[Optional[int], Optional[int], Optional[int]]
+
+
+def _starts_at(k: int, starts: _Starts, first: int, box_top: int) -> list[_Starts]:
+    """The tower starts (a, b, c) the search may hold once degree k is decided.
+
+    ``starts`` holds the towers started below k and None for the others. A
+    standard module has a even with a <= box_top, b = a + 1 - 4i and
+    c = b + 1 - 4j (i, j >= 0), all at least ``first``. Read one degree at a
+    time, these bounds say when each tower may start, given the towers that
+    started before it. a, b and c differ mod 4, so at most one starts at k.
+    An option is dropped once a tower has missed its deadline: a must start
+    by box_top, b by a + 1, and c by b + 1 and by a + 2.
+    """
+    a, b, c = starts
+    options = [starts]
+    if k >= first and k % 2:
+        # b is odd; once a has started, b <= a + 1 leaves only a + 1
+        if b is None and (k == a + 1 if a is not None else c is None or (c - k) % 4 == 1):
+            options.append((a, k, c))
+    elif k >= first:
+        # a is even, and the towers started before it fix its residue mod 4
+        if a is None and k <= box_top and (b is None or (b - k) % 4 == 1) and (
+            c is None or (c - k) % 4 == 2
+        ):
+            options.append((k, b, c))
+        # c is even; once b or a has started, c <= b + 1 or c <= a + 2 leaves one degree
+        if c is None and (k == b + 1 if b is not None else a is None or k == a + 2):
+            options.append((a, b, k))
+    return [
+        (a, b, c)
+        for a, b, c in options
+        if not (
+            (a is None and k >= box_top)
+            or (b is None and a is not None and k >= a + 1)
+            or (c is None and ((b is not None and k >= b + 1) or (a is not None and k >= a + 2)))
+        )
+    ]
+
+
+def _skeleton_at(k: int, starts: _Starts) -> tuple[int, int]:
+    """(dimension, guaranteed Q-rank) in degree k of the towers started so far.
+
+    A tower starting at z has F in degrees z, z + 4, .... The Q-links c -> b
+    and b -> a are active at k when k is on the source ladder and the target
+    started by k - 1; its ladder then reaches k - 1, since b = c - 1 and
+    a = b - 1 (mod 4). This is ``degree_kernel`` of ``_standard_structured``
+    without building the module.
+    """
+    a, b, c = starts
+    on_a = a is not None and a <= k and (k - a) % 4 == 0
+    on_b = b is not None and b <= k and (k - b) % 4 == 0
+    on_c = c is not None and c <= k and (k - c) % 4 == 0
+    t = (on_c and b is not None and b <= k - 1) + (on_b and a is not None and a <= k - 1)
+    return on_a + on_b + on_c, t
+
+
 def oracle_solve(
     m: StructuredModule,
     max_solutions: int = 64,
@@ -214,14 +271,22 @@ def oracle_solve(
 ) -> GysinSolution:
     """Search all standard-module candidates compatible with the known side.
 
-    Enumerates tower starts (a, b, c) in the window, then walks degrees
-    upward choosing box dimensions within the slack the recurrence leaves.
+    One depth-first search walks degrees upward from the bottom of the
+    window. At each degree it may start one of the towers a, b, c that has
+    not started yet (``_starts_at``), reads the skeleton's dimension and
+    Q-rank there in closed form (``_skeleton_at``), and chooses a box
+    dimension within the slack the recurrence leaves. A node is one search
+    state (degree, Q-rank, boxes, previous dimension, starts), and
+    ``max_nodes`` bounds their number over the whole search.
+
     Candidate boxes are placed only in degrees where the known side itself
-    has box summands: the finite parts on the two sides of the sequence feed
-    each other, so a candidate box with no known-side box in its degree can
-    only be sustained by an unbounded cascade of further boxes, never by the
-    towers. Survivors must lock onto the periodic template at the top, and
-    each keeps the feasibility_check certificate of its DFS leaf. Raises
+    has box summands. This is a rule of the search, not a consequence of
+    the recurrence: for T^+_{-6} + F_{-14}, S(-2, -2, -2) with F in each
+    degree -14..-6 passes ``feasibility_check`` in this search's window, yet
+    is not reported. Whether such candidates are Pin(2) modules is open.
+
+    Survivors must lock onto the periodic template at the top, and each
+    keeps the feasibility_check certificate of its DFS leaf. Raises
     GysinError when nothing survives, or when the search exceeds its node
     budget or its survivor cap; each message names the window (lo, hi), and
     the budget messages also give the count reached and the limit. Both
@@ -241,58 +306,51 @@ def oracle_solve(
 
     found: dict[tuple, GysinCandidate] = {}
     nodes = 0
-
-    # a is even, b = a+1-4i and c = b+1-4j (i, j >= 0): every skeleton is a
-    # valid standard module, so a construction error here is a bug. Skeletons
-    # are built from the integer starts; a StandardModule only per survivor.
-    for a in range(smin - 2 + (smin % 2), box_top + 1, 2):
-        for b in range(a + 1, smin - 3, -4):
-            for c in range(b + 1, smin - 3, -4):
-                skel = _standard_structured(a, b, c)
-                st_dims, t_prof = degree_kernel(skel, (lo - 1, hi + 1))
-
-                # depth-first over degrees, state = (k, q_k, boxes so far)
-                stack = [(lo, 0, (), 0)]  # degree, q_k, boxes, s_{k-1}
-                while stack:
-                    nodes += 1
-                    if nodes > max_nodes:
-                        raise GysinError(
-                            "candidate search exceeded its node budget "
-                            f"({nodes} nodes > max_nodes={max_nodes}) in window "
-                            f"[{lo}, {hi}]; narrow the window or raise max_nodes"
-                        )
-                    k, qk, boxes, s_prev = stack.pop()
-                    if k > hi:
-                        full = _standard_structured(a, b, c, boxes)
-                        cert = feasibility_check(m, full, window=(lo, hi))
-                        if isinstance(cert, GysinCertificate):
-                            key = ((a, b, c), tuple(sorted((b_.deg, b_.dim) for b_ in boxes)))
-                            if key not in found:
-                                std = standard_from_starts(a, b, c)
-                                found[key] = GysinCandidate(std, boxes, full, cert)
-                            if len(found) > max_solutions:
-                                raise GysinError(
-                                    "candidate search found implausibly many "
-                                    f"survivors ({len(found)} > max_solutions="
-                                    f"{max_solutions}) in window [{lo}, {hi}]"
-                                )
-                        continue
-                    stk = st_dims.get(k, 0)
-                    tk = t_prof.get(k, 0)
-                    mk = m_dims.get(k, 0)
-                    if qk < tk or qk > s_prev:
-                        continue
-                    x_lo = max(0, qk - tk, qk - stk)
-                    x_hi = mk + qk - stk
-                    if k not in box_degrees:
-                        x_hi = min(x_hi, 0)
-                    if k >= hi - 3 and qk != tk:
-                        continue  # template must already hold in the last period
-                    for x in range(x_lo, x_hi + 1):
-                        sk = stk + x
-                        qnext = 2 * sk - mk - qk
-                        nb = boxes + ((Box(k, x),) if x else ())
-                        stack.append((k + 1, qnext, nb, sk))
+    # depth-first over degrees; a tower that has not started yet is None
+    stack = [(lo, 0, (), 0, (None, None, None))]  # k, q_k, boxes, s_{k-1}, (a, b, c)
+    while stack:
+        nodes += 1
+        if nodes > max_nodes:
+            raise GysinError(
+                "candidate search exceeded its node budget "
+                f"({nodes} nodes > max_nodes={max_nodes}) in window "
+                f"[{lo}, {hi}]; narrow the window or raise max_nodes"
+            )
+        k, qk, boxes, s_prev, starts = stack.pop()
+        if k > hi:
+            # every tower has started: the last deadline, box_top + 2, is below hi
+            full = _standard_structured(*starts, boxes)
+            cert = feasibility_check(m, full, window=(lo, hi))
+            if isinstance(cert, GysinCertificate):
+                key = (starts, tuple(sorted((b_.deg, b_.dim) for b_ in boxes)))
+                if key not in found:
+                    std = standard_from_starts(*starts)
+                    found[key] = GysinCandidate(std, boxes, full, cert)
+                if len(found) > max_solutions:
+                    raise GysinError(
+                        "candidate search found implausibly many "
+                        f"survivors ({len(found)} > max_solutions="
+                        f"{max_solutions}) in window [{lo}, {hi}]"
+                    )
+            continue
+        if qk > s_prev:
+            continue
+        mk = m_dims.get(k, 0)
+        for here in _starts_at(k, starts, smin - 2, box_top):
+            stk, tk = _skeleton_at(k, here)
+            if qk < tk:
+                continue
+            if k >= hi - 3 and qk != tk:
+                continue  # template must already hold in the last period
+            x_lo = max(0, qk - tk, qk - stk)
+            x_hi = mk + qk - stk
+            if k not in box_degrees:
+                x_hi = min(x_hi, 0)
+            for x in range(x_lo, x_hi + 1):
+                sk = stk + x
+                qnext = 2 * sk - mk - qk
+                nb = boxes + ((Box(k, x),) if x else ())
+                stack.append((k + 1, qnext, nb, sk, here))
 
     if not found:
         raise GysinError(f"no feasible Gysin partner in window [{lo}, {hi}]")

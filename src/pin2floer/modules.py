@@ -408,7 +408,7 @@ def _standard_structured(a: int, b: int, c: int, boxes: Sequence[Box] = ()) -> S
     """Three step-4 towers at starts (a, b, c) with Q-links c -> b -> a, plus boxes.
 
     Unlike ``standard_from_starts`` it checks nothing and computes no
-    correction terms, so the Gysin search can build skeletons cheaply.
+    correction terms, so the Gysin search can build its leaf candidates cheaply.
     """
     return StructuredModule(
         towers=(Tower(a, 4), Tower(b, 4), Tower(c, 4)),

@@ -9,6 +9,10 @@ holds the stdout of ``p2f gysin solve`` with and without ``--json`` for the
 two README inputs and the two window-pad baseline inputs of the roadmap (one
 input is in both sets). They pin module JSON with step-4 towers and Q-links.
 All were recorded while module degrees were still stored as ``Fraction``.
+``tower0_box-1000x2.{txt,json}`` is ``p2f gysin solve --tower 0 --box
+-1000:2``; it was recorded from the single lazy search, because the (a, b, c)
+triple loop before it ran out of its 500,000-node budget on this input and
+exited 2.
 
 ``data/cli_golden/homalg/<case>.bundle.json`` is
 ``triangle_bundle_to_json(*random_admissible_triple(random.Random(seed),
@@ -62,6 +66,13 @@ def test_catalog_replays_golden(name):
 def test_gysin_solve_replays_golden(case, mode):
     argv = ["gysin", "solve", *GYSIN_INPUTS[case]] + (["--json"] if mode == "json" else [])
     assert _p2f(*argv) == (DATA / "gysin" / f"{case}.{mode}").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["txt", "json"])
+def test_gysin_solve_budget_case_replays_golden(mode):
+    argv = ["gysin", "solve", "--tower", "0", "--box", "-1000:2"]
+    argv += ["--json"] if mode == "json" else []
+    assert _p2f(*argv) == (DATA / "gysin" / f"tower0_box-1000x2.{mode}").read_bytes()
 
 
 HOMALG_CASES = ["acyclic_seed18", "acyclic_seed4", "cyclic_seed10", "cyclic_seed8"]

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pin2floer.gysin import (
+    _WINDOW_PAD,
+    GysinCandidate,
     GysinCertificate,
     GysinError,
+    GysinSolution,
     Infeasible,
     IncreaseStep,
     closed_form_corrected,
@@ -19,14 +24,20 @@ from pin2floer.gysin import (
     increase_classify,
     oracle_solve,
     stated_corrected_diffs,
+    _strip_qsplit,
+    _validate_source,
 )
 from pin2floer.modules import (
     Box,
     StandardModule,
+    StructuredModule,
     F_box,
     T_plus,
+    _standard_structured,
+    degree_kernel,
     direct_sum,
     format_grading,
+    standard_from_starts,
 )
 
 
@@ -268,3 +279,147 @@ def test_increase_classify_repr():
     step = increase_classify((0, 1, 1))
     assert isinstance(step, IncreaseStep)
     assert "IncreaseStep(kind=" in repr(step)
+
+
+# -- the single lazy search against the (a, b, c) triple loop it replaced ------------
+
+
+def _reference_oracle_solve(m, max_solutions=64, max_nodes=500_000):
+    """The triple-loop ``oracle_solve`` that preceded the lazy search, verbatim.
+
+    One DFS per skeleton (a, b, c), each from the bottom of the window, with
+    the skeleton's dimensions and Q-ranks from ``degree_kernel``.
+    """
+    for name, limit in (("max_solutions", max_solutions), ("max_nodes", max_nodes)):
+        if limit < 1:
+            raise GysinError(f"{name} must be >= 1, got {limit}")
+    m = _strip_qsplit(m)
+    _validate_source(m)
+    smin = m.support_min()
+    hi = m.feature_max() + _WINDOW_PAD
+    lo = smin - 4
+    box_top = hi - 8
+    m_dims, _q = degree_kernel(m, (lo - 1, hi + 1))
+    box_degrees = {b.deg for b in m.boxes if b.deg <= box_top}
+
+    found = {}
+    nodes = 0
+    for a in range(smin - 2 + (smin % 2), box_top + 1, 2):
+        for b in range(a + 1, smin - 3, -4):
+            for c in range(b + 1, smin - 3, -4):
+                skel = _standard_structured(a, b, c)
+                st_dims, t_prof = degree_kernel(skel, (lo - 1, hi + 1))
+                stack = [(lo, 0, (), 0)]
+                while stack:
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise GysinError(
+                            "candidate search exceeded its node budget "
+                            f"({nodes} nodes > max_nodes={max_nodes}) in window "
+                            f"[{lo}, {hi}]; narrow the window or raise max_nodes"
+                        )
+                    k, qk, boxes, s_prev = stack.pop()
+                    if k > hi:
+                        full = _standard_structured(a, b, c, boxes)
+                        cert = feasibility_check(m, full, window=(lo, hi))
+                        if isinstance(cert, GysinCertificate):
+                            key = ((a, b, c), tuple(sorted((b_.deg, b_.dim) for b_ in boxes)))
+                            if key not in found:
+                                std = standard_from_starts(a, b, c)
+                                found[key] = GysinCandidate(std, boxes, full, cert)
+                            if len(found) > max_solutions:
+                                raise GysinError(
+                                    "candidate search found implausibly many "
+                                    f"survivors ({len(found)} > max_solutions="
+                                    f"{max_solutions}) in window [{lo}, {hi}]"
+                                )
+                        continue
+                    stk = st_dims.get(k, 0)
+                    tk = t_prof.get(k, 0)
+                    mk = m_dims.get(k, 0)
+                    if qk < tk or qk > s_prev:
+                        continue
+                    x_lo = max(0, qk - tk, qk - stk)
+                    x_hi = mk + qk - stk
+                    if k not in box_degrees:
+                        x_hi = min(x_hi, 0)
+                    if k >= hi - 3 and qk != tk:
+                        continue
+                    for x in range(x_lo, x_hi + 1):
+                        sk = stk + x
+                        qnext = 2 * sk - mk - qk
+                        nb = boxes + ((Box(k, x),) if x else ())
+                        stack.append((k + 1, qnext, nb, sk))
+
+    if not found:
+        raise GysinError(f"no feasible Gysin partner in window [{lo}, {hi}]")
+    cands = [cand for _key, cand in sorted(found.items(), key=lambda kv: kv[0])]
+    return GysinSolution(candidates=tuple(cands), unique=len(cands) == 1, window=(lo, hi))
+
+
+def _outcome(solve, m):
+    """The solution (candidates, modules, certificates, window, unique), or the error.
+
+    Node counts mean different things in the two searches, so a node-budget
+    error is compared by kind; every other message is compared whole.
+    """
+    try:
+        return solve(m)
+    except GysinError as e:
+        return "node budget" if "node budget" in str(e) else str(e)
+
+
+def _tower_plus_boxes(k, boxes):
+    return StructuredModule(
+        towers=T_plus(2 * k).towers, boxes=tuple(Box(deg, n) for deg, n in boxes)
+    )
+
+
+def _assert_same_as_reference(m):
+    got = _outcome(oracle_solve, m)
+    assert got == _outcome(_reference_oracle_solve, m)
+    return got
+
+
+@given(
+    st.integers(-3, 3),
+    st.lists(st.tuples(st.integers(-8, 4), st.integers(1, 3)), min_size=1, max_size=2,
+             unique_by=lambda box: box[0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lazy_search_matches_triple_loop(k, offsets):
+    _assert_same_as_reference(_tower_plus_boxes(k, [(2 * k + o, n) for o, n in offsets]))
+
+
+def test_bench_seed_one_inputs_match_triple_loop(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs, _expected, _props = importlib.import_module("gen").make_gysin_inputs(1)
+    assert len(inputs) == 1008
+    outcomes = [_assert_same_as_reference(_tower_plus_boxes(i["k"], i["boxes"])) for i in inputs]
+    solved = [o for o in outcomes if isinstance(o, GysinSolution)]
+    assert any(not o.unique for o in solved)
+    assert any(isinstance(o, str) and o.startswith("no feasible") for o in outcomes)
+
+
+def test_budget_bound_input_is_answered():
+    # the triple loop spent its 500,000 nodes on skeletons over this window
+    m = T_plus(0) + F_box(2, -1000)
+    with pytest.raises(GysinError, match="node budget"):
+        _reference_oracle_solve(m)
+    sol = oracle_solve(m, max_nodes=2_000)
+    assert sol.unique and sol.window == (-1004, 12)
+    (cand,) = sol.candidates
+    want = closed_form_corrected(0, 2, box_deg=-1000)
+    assert (cand.standard, cand.boxes) == (want.standard, (Box(-1000, want.box_dim),))
+
+
+# -- boxes only where the known side has boxes is a rule of the search ----------------
+
+
+def test_box_placement_is_a_search_rule_not_a_consequence():
+    m = T_plus(-6) + F_box(1, -14)
+    cand = StandardModule(-2, -2, -2).to_structured(tuple(Box(d, 1) for d in range(-14, -5)))
+    for window in (None, (-18, 6)):
+        assert isinstance(feasibility_check(m, cand, window=window), GysinCertificate)
+    with pytest.raises(GysinError, match=r"^no feasible Gysin partner in window \[-18, 6\]$"):
+        oracle_solve(m)

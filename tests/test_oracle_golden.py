@@ -60,3 +60,21 @@ def test_oracle_replays_golden(k):
         # JSON round trip so that tuples and lists compare alike
         got = json.loads(json.dumps(_record(k, want["boxes"])))
         assert got == want, want["boxes"]
+
+
+def test_golden_inputs_that_raise_find_no_partner():
+    # the fixture records only that a GysinError was raised; when it was
+    # written, each of these was "no feasible Gysin partner", not a search
+    # limit, in the window [support_min - 4, feature_max + 12]
+    raising = [e for e in GOLDEN if "raises" in e]
+    assert len(raising) == 4039
+    for e in raising:
+        degrees = [2 * e["k"]] + [deg for deg, _n in e["boxes"]]
+        m = StructuredModule(
+            towers=T_plus(2 * e["k"]).towers,
+            boxes=tuple(Box(deg, n) for deg, n in e["boxes"]),
+        )
+        with pytest.raises(GysinError) as info:
+            oracle_solve(m)
+        window = f"[{min(degrees) - 4}, {max(degrees) + 12}]"
+        assert str(info.value) == f"no feasible Gysin partner in window {window}", e["boxes"]
