@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -38,11 +39,14 @@ from .complexes import (
 from .gf2 import ContractError
 from .gysin import GysinError, oracle_solve
 from .modules import (
+    Box,
     StructuredModule,
     T_plus,
     F_box,
     WindowError,
+    _box_to_json,
     _grading_to_json,
+    _tower_to_json,
     correction_terms_of,
     format_grading,
     module_to_json,
@@ -94,7 +98,8 @@ def _float_json(x: float) -> str:
 
 def _encode_json(obj, out: list, indent: str = "\n") -> None:
     """Append the text of ``obj`` to ``out`` as ``_emit_json`` lays it out,
-    with ``indent`` (a newline and spaces) as the current nesting."""
+    with ``indent`` (a newline and spaces) as the current nesting. A
+    ``StructuredModule`` is written as its ``module_to_json`` dict would be."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -131,8 +136,33 @@ def _encode_json(obj, out: list, indent: str = "\n") -> None:
             _encode_json(item, out, inner)
             sep = "," + inner
         out.append(indent + "]")
+    elif isinstance(obj, StructuredModule):
+        _encode_module(obj, out, indent)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@functools.cache
+def _box_text(deg: int, dim: int, qsplit: bool, indent: str) -> str:
+    """The text of one box at nesting ``indent``; cached, since a knot batch
+    repeats a few thousand distinct boxes across ~10^5 places."""
+    chunks: list = []
+    _encode_json(_box_to_json(Box(deg, dim, qsplit)), chunks, indent)
+    return "".join(chunks)
+
+
+def _encode_module(m: StructuredModule, out: list, indent: str) -> None:
+    """``_encode_json`` of ``module_to_json(m)`` without building the box
+    dicts: the keys in sorted order, each box's text from ``_box_text``."""
+    inner = indent + "  "
+    item = inner + "  "
+    texts = [_box_text(b.deg, b.dim, b.qsplit, item) for b in m.boxes]
+    boxes = "[" + item + ("," + item).join(texts) + inner + "]" if texts else "[]"
+    out.append("{" + inner + '"boxes": ' + boxes + "," + inner + '"links": ')
+    _encode_json(m.links, out, inner)
+    out.append("," + inner + '"towers": ')
+    _encode_json([_tower_to_json(t) for t in m.towers], out, inner)
+    out.append(indent + "}")
 
 
 def _emit_json(obj) -> None:
@@ -140,8 +170,9 @@ def _emit_json(obj) -> None:
 
     The bytes equal ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
     newline for trees of dicts with ``str`` keys, lists, tuples, ``str``,
-    ``int``, ``float``, ``bool`` and ``None``; any other value or key
-    raises ``TypeError``. ``json.dumps`` with ``indent`` runs the
+    ``int``, ``float``, ``bool`` and ``None``. A ``StructuredModule`` value
+    is encoded as its ``module_to_json`` dict would be; any other value or
+    key raises ``TypeError``. ``json.dumps`` with ``indent`` runs the
     pure-Python encoder, which this avoids.
     """
     out: list = []
@@ -239,11 +270,11 @@ def _parse_alexander(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _knot_report(kd: KnotData, slope: int, with_module: bool = True) -> dict:
-    """One knot's JSON report; ``with_module=False`` skips the "hm_plus_one"
-    module, which only the JSON output prints."""
+def _knot_report(kd: KnotData, slope: int) -> dict:
+    """One knot's JSON report, less the "hm_plus_one" module, which only the
+    JSON output prints."""
     res = correction_terms(kd, slope)
-    rep = {
+    return {
         "name": kd.name,
         "sigma": kd.signature,
         "arf": kd.arf,
@@ -254,9 +285,6 @@ def _knot_report(kd: KnotData, slope: int, with_module: bool = True) -> dict:
         "agree": res.agree,
         "obstructed": seifert_obstruction(res.ct).obstructed,
     }
-    if with_module:
-        rep["hm_plus_one"] = module_to_json(hm_plus_one_surgery(kd))
-    return rep
 
 
 def _ct_line(ct) -> str:
@@ -274,7 +302,9 @@ def _cmd_knot_correction(args) -> int:
     if args.surgery not in (1, -1):
         raise KnotError(f"surgery slope must be +1 or -1, got {args.surgery}")
     if args.json:
-        _emit_json(_knot_report(kd, args.surgery))
+        rep = _knot_report(kd, args.surgery)
+        rep["hm_plus_one"] = module_to_json(hm_plus_one_surgery(kd))
+        _emit_json(rep)
         return 0
     res = correction_terms(kd, args.surgery)
     print(_ct_line(res.ct))
@@ -306,6 +336,8 @@ def _column(row: dict, column: str, parse=int, what: str = "an integer"):
 
 
 def _batch_one(row: dict, with_module: bool) -> dict:
+    """One CSV row's report; ``with_module`` adds the "hm_plus_one" module
+    itself, for ``_encode_json`` to write."""
     name = (row.get("name") or "").strip()
     try:
         signature = _column(row, "signature")
@@ -317,7 +349,10 @@ def _batch_one(row: dict, with_module: bool) -> dict:
         kd = validate_knot(name, signature, alexander, arf=arf)
         if slope not in (1, -1):
             raise KnotError(f"surgery slope must be +1 or -1, got {slope}")
-        return _knot_report(kd, slope, with_module)
+        rep = _knot_report(kd, slope)
+        if with_module:
+            rep["hm_plus_one"] = hm_plus_one_surgery(kd)
+        return rep
     except (KnotError, GysinError, ValueError) as e:
         raise KnotError(f"knot {name!r}: {e}") from None
 

@@ -1211,13 +1211,21 @@ def filtered_to_json(fc: FilteredComplex) -> dict:
     return out
 
 
+def _require_object(data, kind: str) -> None:
+    """ValueError naming the document ``kind`` unless ``data`` is a JSON object."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{kind} must be a JSON object, got {type(data).__name__}")
+
+
 def filtered_from_json(data: Mapping) -> FilteredComplex:
+    _require_object(data, "filtered complex")
     cx = complex_from_json(data)
     levels = {int(k): tuple(v) for k, v in data.get("levels", {}).items()}
     return FilteredComplex(cx, levels)
 
 
 def triangle_bundle_from_json(data: Mapping) -> tuple[ChainMap, ChainMap, Homotopy]:
+    _require_object(data, "triangle bundle")
     c1 = complex_from_json(data["c1"])
     c2 = complex_from_json(data["c2"])
     c3 = complex_from_json(data["c3"])

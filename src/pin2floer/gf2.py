@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-__all__ = [
-    "ContractError",
-    "F2Matrix",
-    "compose",
-    "image_membership",
-    "kernel_basis",
-    "rank",
-]
+__all__ = ["ContractError", "F2Matrix"]
 
 
 class ContractError(ValueError):
@@ -313,35 +306,3 @@ class F2Matrix:
                 pieces.append(m)
             rows.append(F2Matrix.hstack(pieces))
         return F2Matrix.vstack(rows)
-
-
-# -- spec-level helpers (vector-as-tuple interface) ------------------------
-
-
-def rank(m: F2Matrix) -> int:
-    """Rank of m over GF(2)."""
-    return m.rank()
-
-
-def kernel_basis(m: F2Matrix) -> list[tuple[int, ...]]:
-    """Basis vectors of the right kernel as 0/1 tuples of length m.cols."""
-    return [_unpack(v, m.cols) for v in m.kernel_masks()]
-
-
-def image_membership(m: F2Matrix, target: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A preimage tuple x with m*x = target, or None when target is not hit.
-
-    None is equivalent to rank([m | target]) == rank(m) + 1.
-    """
-    target = list(target)
-    if len(target) != m.rows:
-        raise ContractError(
-            f"target length {len(target)} does not match {m.rows} rows of {m.shape}"
-        )
-    x = m.solve_mask(_pack(target))
-    return None if x is None else _unpack(x, m.cols)
-
-
-def compose(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    """Matrix product a*b (apply b first, then a)."""
-    return a.mul(b)

@@ -499,17 +499,21 @@ def _grading_to_json(x: Fraction):
     return x.numerator if x.denominator == 1 else format_grading(x)
 
 
+def _tower_to_json(t: Tower) -> dict:
+    return {"base": t.base, "step": t.step, "kind": "plus"}
+
+
+def _box_to_json(b: Box) -> dict:
+    entry: dict = {"deg": b.deg, "dim": b.dim}
+    if b.qsplit:
+        entry["qsplit"] = True
+    return entry
+
+
 def module_to_json(m: StructuredModule) -> dict:
-    towers = [{"base": t.base, "step": t.step, "kind": "plus"} for t in m.towers]
-    boxes = []
-    for b in m.boxes:
-        entry: dict = {"deg": b.deg, "dim": b.dim}
-        if b.qsplit:
-            entry["qsplit"] = True
-        boxes.append(entry)
     return {
-        "towers": towers,
-        "boxes": boxes,
+        "towers": [_tower_to_json(t) for t in m.towers],
+        "boxes": [_box_to_json(b) for b in m.boxes],
         "links": [list(l) for l in m.links],
     }
 

@@ -22,6 +22,7 @@ from pin2floer.complexes import (
     random_filtered_complex,
     triangle_bundle_to_json,
 )
+from pin2floer.modules import Box, StructuredModule, Tower, module_to_json
 
 CSV_TEXT = """name,signature,alexander,arf,surgery
 trefoil,-2,-1;1,1,+1
@@ -240,6 +241,18 @@ def test_homalg_ss(tmp_path, capsys):
     assert "E^inf:" in out
 
 
+@pytest.mark.parametrize(
+    "command, kind", [("triangle", "triangle bundle"), ("ss", "filtered complex")]
+)
+def test_homalg_rejects_a_top_level_array(tmp_path, capsys, command, kind):
+    p = tmp_path / "array.json"
+    p.write_text("[1, 2]")
+    assert main(["homalg", command, "--file", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"error: validation: {kind} must be a JSON object" in cap.err
+
+
 @pytest.mark.parametrize("r_max", ["-1", "-3"])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_homalg_ss_negative_r_max_is_rejected(tmp_path, capsys, r_max, json_flag):
@@ -348,6 +361,45 @@ _json_trees = st.recursive(
 @settings(max_examples=400, deadline=None)
 def test_emitter_matches_stdlib_dumps(obj):
     assert _emitted(obj) == _stdlib_json(obj)
+
+
+@st.composite
+def _modules(draw):
+    tower = st.builds(Tower, st.integers(-30, 30), st.sampled_from([2, 4]))
+    towers = draw(st.lists(tower, max_size=3))
+    n = len(towers)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    links = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    box = st.builds(Box, st.integers(-30, 30), st.integers(1, 12), st.booleans())
+    boxes = draw(st.lists(box, max_size=6))
+    return StructuredModule(towers=towers, boxes=boxes, links=links)
+
+
+def _nested(obj, depth: int):
+    # alternate list and dict levels, so the module sits ``depth`` levels deep
+    for level in range(depth):
+        obj = [obj] if level % 2 else {"m": obj, "n": 1}
+    return obj
+
+
+@given(_modules(), st.integers(0, 4))
+@example(StructuredModule(), 0)
+@example(
+    StructuredModule(
+        towers=(Tower(0, 2), Tower(-3, 4)), boxes=(Box(-1, 2, True), Box(-5, 1)), links=((1, 0),)
+    ),
+    3,
+)
+@settings(max_examples=200, deadline=None)
+def test_module_is_emitted_as_its_module_to_json_dict(m, depth):
+    assert _emitted(_nested(m, depth)) == _stdlib_json(_nested(module_to_json(m), depth))
+
+
+def test_one_box_at_two_depths_in_one_process():
+    # the box text cache must tell nesting depths apart
+    m = StructuredModule(towers=(Tower(2, 2),), boxes=(Box(-7, 3, True), Box(-7, 3)))
+    for depth in (1, 3, 1, 2):
+        assert _emitted(_nested(m, depth)) == _stdlib_json(_nested(module_to_json(m), depth))
 
 
 def _bundle_file(tmp_path, method, seed):
