@@ -3,8 +3,8 @@
 Everything is homologically graded with differentials of degree -1 and
 integer degrees. The pieces:
 
-* ``GradedComplex`` -- a validated container (d^2 = 0 is checked at
-  construction).
+* ``GradedComplex`` -- a validated container (dimensions >= 0 and d^2 = 0
+  are checked at construction).
 * ``GradedMap`` -- the one block store for degree-homogeneous maps: source
   and target dimensions, degree, blocks indexed by source degree, shape
   checks naming the degree, zero-block dropping and ``block_at``.
@@ -22,12 +22,16 @@ integer degrees. The pieces:
   graded maps, reusable for any graded vector spaces.
 * ``assemble_monopole_complexes`` -- builds the three flavors of monopole
   complex from the eight block maps and validates d^2 = 0.
-* ``iterated_cone_module_action`` -- extends compatible module actions on
-  the pieces to the two-step cone.
 * ``FilteredComplex`` / ``filtered_pages`` -- exact spectral-sequence pages
   of a filtered complex from one persistence reduction per degree, with
   E^inf checked against the homology, plus the six-column toy model whose
   pages collapse at E^4 under invertible diagonal blocks.
+* ``random_complex``, ``random_admissible_triple`` and
+  ``random_filtered_complex`` -- seeded generators of valid inputs, built
+  from dots and two-term intervals in a scrambled basis.
+* JSON readers and writers for complexes, chain maps, triangle bundles and
+  filtered complexes. The readers check each container's type and name its
+  path (say ``f1.blocks.0``) when it is wrong.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ __all__ = [
     "filtered_to_json",
     "homology",
     "induced_map",
-    "iterated_cone_module_action",
     "iterated_mapping_cone",
     "mainiso_toy_model",
     "mapping_cone",
@@ -69,7 +72,6 @@ __all__ = [
     "random_chain_map",
     "random_complex",
     "random_filtered_complex",
-    "solve_homotopy",
     "triangle_bundle_from_json",
     "triangle_bundle_to_json",
     "triangle_detect",
@@ -87,7 +89,13 @@ class GradedComplex:
     __slots__ = ("dims", "d")
 
     def __init__(self, dims: Mapping[int, int], d: Mapping[int, F2Matrix]):
-        clean_dims = {int(k): int(n) for k, n in dims.items() if int(n) > 0}
+        clean_dims = {}
+        for k, n in dims.items():
+            k, n = int(k), int(n)
+            if n < 0:
+                raise ContractError(f"dimension at degree {k} is {n}, must be >= 0")
+            if n:
+                clean_dims[k] = n
         clean_d: dict[int, F2Matrix] = {}
         for k, m in d.items():
             k = int(k)
@@ -648,72 +656,6 @@ def assemble_monopole_complexes(
 
 
 # ---------------------------------------------------------------------------
-# Module actions on cones
-# ---------------------------------------------------------------------------
-
-
-def iterated_cone_module_action(
-    f1: ChainMap,
-    f2: ChainMap,
-    h1: Homotopy,
-    v1: ChainMap,
-    v2: ChainMap,
-    v3: ChainMap,
-    hmix1: Homotopy,
-    hmix2: Homotopy,
-    g1: Homotopy,
-) -> ChainMap:
-    """Extend actions to the two-step cone via [[V3, Hmix2, G1], [0, V2, Hmix1], [0, 0, V1]].
-
-    Preconditions: the two pairwise mixing identities, plus the corner
-    identity d3*G1 + G1*d1 = f2*Hmix1 + Hmix2*f1 + H1*V1 + V3*H1 (the last
-    two terms are the cone homotopy H1 interacting with the outer actions).
-    A failed identity raises with the first offending degree.
-    """
-    _check_homotopy_identity(f1, f2, h1)
-    vdeg = v1.degree
-    for v in (v2, v3):
-        if v.degree != vdeg:
-            raise ContractError("all three action maps must share one degree")
-    if hmix1.degree != vdeg + 1 or hmix2.degree != vdeg + 1:
-        raise ContractError(f"mixing homotopies must have degree {vdeg + 1}")
-    if g1.degree != vdeg + 2:
-        raise ContractError(f"corner block must have degree {vdeg + 2}, got {g1.degree}")
-    c1, c2, c3 = f1.source, f1.target, f2.target
-    # pairwise identities
-    for k in sorted(set(c1.dims) | {k + 1 for k in c1.dims}):
-        rhs = f1.block_at(k + vdeg).mul(v1.block_at(k)) + v2.block_at(k).mul(f1.block_at(k))
-        if _dh(hmix1, k) != rhs:
-            raise ValueError(f"first mixing identity fails at degree {k}")
-    for k in sorted(set(c2.dims) | {k + 1 for k in c2.dims}):
-        rhs = f2.block_at(k + vdeg).mul(v2.block_at(k)) + v3.block_at(k).mul(f2.block_at(k))
-        if _dh(hmix2, k) != rhs:
-            raise ValueError(f"second mixing identity fails at degree {k}")
-    for k in sorted(set(c1.dims) | {k + 1 for k in c1.dims}):
-        rhs = (
-            f2.block_at(k + vdeg + 1).mul(hmix1.block_at(k))
-            + hmix2.block_at(k).mul(f1.block_at(k))
-            + h1.block_at(k + vdeg).mul(v1.block_at(k))
-            + v3.block_at(k + 1).mul(h1.block_at(k))
-        )
-        if _dh(g1, k) != rhs:
-            raise ValueError(f"corner identity fails at degree {k}")
-    big = iterated_mapping_cone(f1, f2, h1)
-    blocks = {}
-    for k in big.dims:
-        blocks[k] = F2Matrix.block(
-            [
-                [v3.block_at(k), hmix2.block_at(k - 1), g1.block_at(k - 2)],
-                [None, v2.block_at(k - 1), hmix1.block_at(k - 2)],
-                [None, None, v1.block_at(k - 2)],
-            ],
-            row_dims=[c3.dim_at(k + vdeg), c2.dim_at(k + vdeg - 1), c1.dim_at(k + vdeg - 2)],
-            col_dims=[c3.dim_at(k), c2.dim_at(k - 1), c1.dim_at(k - 2)],
-        )
-    return ChainMap(big, big, blocks, degree=vdeg)
-
-
-# ---------------------------------------------------------------------------
 # Filtered complexes and spectral pages
 # ---------------------------------------------------------------------------
 
@@ -905,6 +847,33 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[F2Matrix, F2Matrix]:
             return m, m.inverse()
 
 
+def _random_pieces(
+    rng: random.Random, degrees: Sequence[int], max_dots: int, max_intervals: int
+) -> tuple[list[int], dict[int, int], dict[int, int], dict[int, int], dict[int, F2Matrix]]:
+    """Draw dots and two-term intervals per degree and lay them out in a standard basis.
+
+    Returns (degrees, dots, ints, dims, d) with the degrees sorted. Degree k
+    lists the targets of the ints[k+1] intervals from k+1 first, then its
+    dots[k] dots, then the sources of its ints[k] intervals; d[k] sends the
+    t-th interval source to the t-th coordinate of degree k-1. Only ``dots``
+    and ``ints`` draw from ``rng``, in that order.
+    """
+    degrees = sorted(set(int(k) for k in degrees))
+    dots = {k: rng.randint(0, max_dots) for k in degrees}
+    ints = {
+        k: (rng.randint(0, max_intervals) if k - 1 in degrees else 0) for k in degrees
+    }
+    dims = {k: ints.get(k + 1, 0) + dots[k] + ints[k] for k in degrees}
+    d: dict[int, F2Matrix] = {}
+    for k in degrees:
+        n, m = dims.get(k - 1, 0), dims[k]
+        rows = [0] * n
+        for t in range(ints[k]):
+            rows[t] |= 1 << (m - ints[k] + t)
+        d[k] = F2Matrix(n, m, rows)
+    return degrees, dots, ints, dims, d
+
+
 def random_complex(
     rng: random.Random,
     degrees: Sequence[int],
@@ -917,28 +886,8 @@ def random_complex(
     random invertible matrices, so d^2 = 0 holds by construction while the
     matrices look generic.
     """
-    degrees = sorted(set(int(k) for k in degrees))
-    dots = {k: rng.randint(0, max_dots) for k in degrees}
-    ints = {
-        k: (rng.randint(0, max_intervals) if k - 1 in degrees else 0) for k in degrees
-    }
-    dims: dict[int, int] = {}
-    for k in degrees:
-        above = ints.get(k + 1, 0)
-        dims[k] = above + dots[k] + ints[k]
-    d: dict[int, F2Matrix] = {}
-    for k in degrees:
-        n, m = dims.get(k - 1, 0), dims.get(k, 0)
-        rows = [0] * n
-        # interval sources at k occupy the last ints[k] coordinates; their
-        # targets at k-1 occupy the first ints[k] coordinates
-        for t in range(ints[k]):
-            src = m - ints[k] + t
-            rows[t] |= 1 << src
-        d[k] = F2Matrix(n, m, rows)
-    p: dict[int, tuple[F2Matrix, F2Matrix]] = {
-        k: _random_invertible(rng, dims.get(k, 0)) for k in degrees
-    }
+    degrees, _dots, _ints, dims, d = _random_pieces(rng, degrees, max_dots, max_intervals)
+    p = {k: _random_invertible(rng, dims[k]) for k in degrees}
     d_conj = {}
     for k in degrees:
         if k - 1 in dims:
@@ -977,61 +926,6 @@ def _nullhomotopic_parts(
 def random_chain_map(rng: random.Random, c: GradedComplex, d_: GradedComplex) -> ChainMap:
     """A random (nullhomotopic) chain map c -> d_, valid by construction."""
     return _nullhomotopic_parts(rng, c, d_)[1]
-
-
-def solve_homotopy(
-    f1: ChainMap, f2: ChainMap
-) -> Optional[Homotopy]:
-    """Solve d3*H + H*d1 = f2*f1 for a degree +1 homotopy H, if one exists.
-
-    Sets up the block equations as one linear system over F2 and returns
-    None when f2*f1 is not nullhomotopic.
-    """
-    c1, c3 = f1.source, f2.target
-    var_index: dict[tuple[int, int, int], int] = {}
-    for k in c1.dims:
-        for i in range(c3.dim_at(k + 1)):
-            for j in range(c1.dim_at(k)):
-                var_index[(k, i, j)] = len(var_index)
-    nvars = len(var_index)
-    rows: list[int] = []
-    rhs_bits: list[int] = []
-    eq_degrees = sorted(set(c1.dims) | {k + 1 for k in c1.dims})
-    for k in eq_degrees:
-        rhs = f2.block_at(k).mul(f1.block_at(k))
-        d3 = c3.d_at(k + 1)
-        d1 = c1.d_at(k)
-        for r in range(c3.dim_at(k)):
-            for cc in range(c1.dim_at(k)):
-                row = 0
-                # (d3 * H_k)[r, cc] = sum_i d3[r, i] H_k[i, cc]
-                for i in range(c3.dim_at(k + 1)):
-                    if d3.entry(r, i):
-                        row ^= 1 << var_index[(k, i, cc)]
-                # (H_{k-1} * d1)[r, cc] = sum_j H_{k-1}[r, j] d1[j, cc]
-                for j in range(c1.dim_at(k - 1)):
-                    if d1.entry(j, cc):
-                        row ^= 1 << var_index[(k - 1, r, j)]
-                rows.append(row)
-                rhs_bits.append(rhs.entry(r, cc))
-    system = F2Matrix(len(rows), nvars, rows)
-    target = 0
-    for i, b in enumerate(rhs_bits):
-        if b:
-            target |= 1 << i
-    sol = system.solve_mask(target)
-    if sol is None:
-        return None
-    blocks: dict[int, F2Matrix] = {}
-    for k in c1.dims:
-        n, m = c3.dim_at(k + 1), c1.dim_at(k)
-        bits = [0] * n
-        for i in range(n):
-            for j in range(m):
-                if (sol >> var_index[(k, i, j)]) & 1:
-                    bits[i] |= 1 << j
-        blocks[k] = F2Matrix(n, m, bits)
-    return Homotopy(c1, c3, blocks, degree=1)
 
 
 def random_admissible_triple(
@@ -1095,36 +989,14 @@ def random_filtered_complex(
     conjugating matrices are block upper-triangular with respect to the
     level order so the filtration survives the change of basis.
     """
-    degrees = sorted(set(int(k) for k in degrees))
-    dots = {k: rng.randint(0, max_dots) for k in degrees}
-    ints = {
-        k: (rng.randint(0, max_intervals) if k - 1 in degrees else 0) for k in degrees
+    degrees, dots, ints, dims, d = _random_pieces(rng, degrees, max_dots, max_intervals)
+    # assign a level to each interval (shared by its two ends), then to each dot
+    int_levels = {k: [rng.randrange(num_levels) for _ in range(ints[k])] for k in degrees}
+    piece_levels = {
+        k: int_levels.get(k + 1, []) + [rng.randrange(num_levels) for _ in range(dots[k])]
+        + int_levels[k]
+        for k in degrees
     }
-    dims: dict[int, int] = {}
-    piece_levels: dict[int, list[int]] = {}
-    for k in degrees:
-        above = ints.get(k + 1, 0)
-        dims[k] = above + dots[k] + ints[k]
-        piece_levels[k] = [0] * dims[k]
-    # assign a level to each dot and each interval (shared by its two ends)
-    int_levels: dict[int, list[int]] = {}
-    for k in degrees:
-        int_levels[k] = [rng.randrange(num_levels) for _ in range(ints[k])]
-    for k in degrees:
-        above = ints.get(k + 1, 0)
-        for t in range(above):
-            piece_levels[k][t] = int_levels[k + 1][t]
-        for t in range(dots[k]):
-            piece_levels[k][above + t] = rng.randrange(num_levels)
-        for t in range(ints[k]):
-            piece_levels[k][above + dots[k] + t] = int_levels[k][t]
-    d: dict[int, F2Matrix] = {}
-    for k in degrees:
-        n, m = dims.get(k - 1, 0), dims.get(k, 0)
-        rows = [0] * n
-        for t in range(ints[k]):
-            rows[t] |= 1 << (m - ints[k] + t)
-        d[k] = F2Matrix(n, m, rows)
     # level-sorted basis & triangular conjugation: sort coordinates by level,
     # then conjugate with matrices that never move mass to a higher level.
     perm: dict[int, list[int]] = {}
@@ -1178,24 +1050,46 @@ def complex_to_json(c: GradedComplex) -> dict:
     }
 
 
-def complex_from_json(data: Mapping) -> GradedComplex:
-    dims = {int(k): int(n) for k, n in data.get("dims", {}).items()}
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _require(data, path: str, kind: type = Mapping):
+    """``data``, or a ValueError naming ``path`` unless it is a JSON object (or ``kind``)."""
+    if not isinstance(data, kind):
+        noun = "object" if kind is Mapping else "array"
+        raise ValueError(f"{path} must be a JSON {noun}, got {type(data).__name__}")
+    return data
+
+
+def complex_from_json(data: Mapping, path: str = "") -> GradedComplex:
+    """Read a complex; ``path`` locates ``data`` in its document for error messages."""
+    _require(data, path or "complex")
+    dims = {int(k): int(n) for k, n in _require(data.get("dims", {}), _at(path, "dims")).items()}
     d = {}
-    for k, rows in data.get("d", {}).items():
-        k = int(k)
-        d[k] = F2Matrix.from_rows(rows, cols=dims.get(k, 0))
+    for key, rows in _require(data.get("d", {}), _at(path, "d")).items():
+        k = int(key)
+        d[k] = F2Matrix.from_rows(_require(rows, _at(path, f"d.{key}"), list), cols=dims.get(k, 0))
     return GradedComplex(dims, d)
 
 
-def chain_map_from_json(
-    data: Mapping, source: GradedComplex, target: GradedComplex
-) -> ChainMap:
-    degree = int(data.get("degree", 0))
+def _blocks_from_json(data: Mapping, path: str, source: GradedComplex) -> dict[int, F2Matrix]:
+    """The ``blocks`` of the map document at ``path``, each as wide as its source degree."""
+    _require(data, path)
     blocks = {}
-    for k, rows in data.get("blocks", {}).items():
-        k = int(k)
-        blocks[k] = F2Matrix.from_rows(rows, cols=source.dim_at(k))
-    return ChainMap(source, target, blocks, degree=degree)
+    for key, rows in _require(data.get("blocks", {}), f"{path}.blocks").items():
+        k = int(key)
+        blocks[k] = F2Matrix.from_rows(
+            _require(rows, f"{path}.blocks.{key}", list), cols=source.dim_at(k)
+        )
+    return blocks
+
+
+def chain_map_from_json(
+    data: Mapping, source: GradedComplex, target: GradedComplex, path: str = "map"
+) -> ChainMap:
+    blocks = _blocks_from_json(data, path, source)
+    return ChainMap(source, target, blocks, degree=int(data.get("degree", 0)))
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
@@ -1211,31 +1105,23 @@ def filtered_to_json(fc: FilteredComplex) -> dict:
     return out
 
 
-def _require_object(data, kind: str) -> None:
-    """ValueError naming the document ``kind`` unless ``data`` is a JSON object."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{kind} must be a JSON object, got {type(data).__name__}")
-
-
 def filtered_from_json(data: Mapping) -> FilteredComplex:
-    _require_object(data, "filtered complex")
-    cx = complex_from_json(data)
-    levels = {int(k): tuple(v) for k, v in data.get("levels", {}).items()}
+    cx = complex_from_json(_require(data, "filtered complex"))
+    levels = {
+        int(k): tuple(_require(v, f"levels.{k}", list))
+        for k, v in _require(data.get("levels", {}), "levels").items()
+    }
     return FilteredComplex(cx, levels)
 
 
 def triangle_bundle_from_json(data: Mapping) -> tuple[ChainMap, ChainMap, Homotopy]:
-    _require_object(data, "triangle bundle")
-    c1 = complex_from_json(data["c1"])
-    c2 = complex_from_json(data["c2"])
-    c3 = complex_from_json(data["c3"])
-    f1 = chain_map_from_json(data["f1"], c1, c2)
-    f2 = chain_map_from_json(data["f2"], c2, c3)
-    hb = {}
-    for k, rows in data.get("h1", {}).get("blocks", {}).items():
-        k = int(k)
-        hb[k] = F2Matrix.from_rows(rows, cols=c1.dim_at(k))
-    h1 = Homotopy(c1, c3, hb, degree=1)
+    _require(data, "triangle bundle")
+    c1 = complex_from_json(data["c1"], "c1")
+    c2 = complex_from_json(data["c2"], "c2")
+    c3 = complex_from_json(data["c3"], "c3")
+    f1 = chain_map_from_json(data["f1"], c1, c2, "f1")
+    f2 = chain_map_from_json(data["f2"], c2, c3, "f2")
+    h1 = Homotopy(c1, c3, _blocks_from_json(data.get("h1", {}), "h1", c1), degree=1)
     return f1, f2, h1
 
 

@@ -150,8 +150,6 @@ class F2Matrix:
             out.append(acc)
         return F2Matrix._wrap(self.rows, other.cols, out)
 
-    __matmul__ = mul
-
     def apply(self, vec: int) -> int:
         """Apply to a column vector given as a bitmask over self.cols."""
         if vec >> self.cols:

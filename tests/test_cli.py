@@ -253,6 +253,33 @@ def test_homalg_rejects_a_top_level_array(tmp_path, capsys, command, kind):
     assert f"error: validation: {kind} must be a JSON object" in cap.err
 
 
+@pytest.mark.parametrize(
+    "command, doc, path",
+    [
+        ("triangle", {"c1": 5}, "c1 must be a JSON object"),
+        ("ss", {"dims": [1]}, "dims must be a JSON object"),
+        ("ss", {"dims": {"0": 1}, "d": {}, "levels": {"0": 5}}, "levels.0 must be a JSON array"),
+    ],
+    ids=["triangle-complex", "ss-dims", "ss-levels"],
+)
+def test_homalg_rejects_a_nested_container_of_the_wrong_type(tmp_path, capsys, command, doc, path):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert main(["homalg", command, "--file", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"error: validation: {path}" in cap.err
+
+
+def test_homalg_ss_rejects_a_negative_dimension(tmp_path, capsys):
+    p = tmp_path / "neg.json"
+    p.write_text(json.dumps({"dims": {"0": -1}, "d": {}, "levels": {"0": []}}))
+    assert main(["homalg", "ss", "--file", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "error: validation: dimension at degree 0 is -1, must be >= 0" in cap.err
+
+
 @pytest.mark.parametrize("r_max", ["-1", "-3"])
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_homalg_ss_negative_r_max_is_rejected(tmp_path, capsys, r_max, json_flag):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import random
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from pin2floer.complexes import (
     filtered_to_json,
     homology,
     induced_map,
-    iterated_cone_module_action,
     iterated_mapping_cone,
     mainiso_toy_model,
     mapping_cone,
@@ -38,7 +38,6 @@ from pin2floer.complexes import (
     random_chain_map,
     random_complex,
     random_filtered_complex,
-    solve_homotopy,
     triangle_bundle_from_json,
     triangle_bundle_to_json,
     triangle_detect,
@@ -58,6 +57,11 @@ def test_complex_rejects_d_squared():
 def test_complex_rejects_bad_shape():
     with pytest.raises(ContractError):
         GradedComplex({0: 2, 1: 1}, {1: F2Matrix.zero(1, 1)})
+
+
+def test_complex_rejects_negative_dimension():
+    with pytest.raises(ContractError, match="degree 0 is -1"):
+        GradedComplex({0: -1, 1: 2}, {})
 
 
 def test_chain_map_identity_enforced():
@@ -311,14 +315,6 @@ def test_bench_seed_one_triangles_match_reference(monkeypatch):
     assert verdicts == {NotAcyclic, Triangle}
 
 
-def test_solve_homotopy_recovers_certificate():
-    rng = random.Random(17)
-    f1, f2, _h1 = random_admissible_triple(rng, (0, 1, 2), method="formula")
-    h = solve_homotopy(f1, f2)
-    assert h is not None
-    iterated_mapping_cone(f1, f2, h)  # must validate
-
-
 def test_induced_map_of_identity():
     rng = random.Random(31)
     c = random_complex(rng, (0, 1, 2))
@@ -326,28 +322,6 @@ def test_induced_map_of_identity():
     g = induced_map(ident)
     for k, n in homology(c).dims.items():
         assert g.block_at(k) == F2Matrix.identity(n)
-
-
-def test_identity_action_extends_to_iterated_cone():
-    rng = random.Random(12)
-    f1, f2, h1 = random_admissible_triple(rng, (0, 1, 2), method="formula")
-    c1, c2, c3 = f1.source, f1.target, f2.target
-
-    def ident(c):
-        return ChainMap(c, c, {k: F2Matrix.identity(n) for k, n in c.dims.items()})
-
-    def zero_h(src, tgt, deg):
-        return Homotopy(src, tgt, {}, degree=deg)
-
-    # in characteristic two f*id + id*f = 0, so zero mixing data works
-    act = iterated_cone_module_action(
-        f1, f2, h1,
-        ident(c1), ident(c2), ident(c3),
-        zero_h(c1, c2, 1), zero_h(c2, c3, 1), zero_h(c1, c3, 2),
-    )
-    cone = iterated_mapping_cone(f1, f2, h1)
-    for k, n in cone.dims.items():
-        assert act.block_at(k) == F2Matrix.identity(n)
 
 
 # -- spectral sequences -----------------------------------------------------------
@@ -606,3 +580,54 @@ def test_filtered_json_roundtrip():
     back = filtered_from_json(filtered_to_json(fc))
     assert back.complex == fc.complex
     assert back.levels == fc.levels
+
+
+
+def test_bundle_reader_names_the_path_of_a_wrong_container():
+    doc = triangle_bundle_to_json(*random_admissible_triple(random.Random(4), (0, 1, 2, 3)))
+    k = next(iter(doc["f1"]["blocks"]))
+    doc["f1"]["blocks"][k] = {"0": [1]}
+    with pytest.raises(ValueError, match=rf"^f1\.blocks\.{k} must be a JSON array, got dict$"):
+        triangle_bundle_from_json(doc)
+    doc = triangle_bundle_to_json(*random_admissible_triple(random.Random(4), (0, 1, 2, 3)))
+    doc["h1"]["blocks"] = []
+    with pytest.raises(ValueError, match=r"^h1\.blocks must be a JSON object, got list$"):
+        triangle_bundle_from_json(doc)
+
+
+# -- generators ---------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "case, seed, method",
+    [
+        ("acyclic_seed4", 4, "cone"),
+        ("acyclic_seed18", 18, "cone"),
+        ("cyclic_seed8", 8, "formula"),
+        ("cyclic_seed10", 10, "formula"),
+    ],
+)
+def test_random_triple_reproduces_golden_bundle(case, seed, method):
+    triple = random_admissible_triple(random.Random(seed), (0, 1, 2, 3), method=method)
+    golden = json.loads((DATA / "cli_golden" / "homalg" / f"{case}.bundle.json").read_text())
+    assert triangle_bundle_to_json(*triple) == golden
+
+
+@pytest.mark.parametrize(
+    "seed, degrees, num_levels",
+    [
+        (0, (0, 1, 2), 3),
+        (1, (0, 1, 2, 3), 4),
+        (2, (-1, 0, 1, 2, 3), 5),
+        (3, (0, 1), 2),
+        (4, (1, 2, 3, 4), 5),
+    ],
+)
+def test_random_filtered_complex_reproduces_golden_input(seed, degrees, num_levels):
+    fc = random_filtered_complex(
+        random.Random(seed), degrees, num_levels, max_dots=3, max_intervals=3
+    )
+    golden = json.loads((DATA / "homalg_ss" / f"random_{seed}.json").read_text())
+    assert filtered_to_json(fc) == golden
