@@ -11,9 +11,10 @@ integer degrees. The pieces:
   ``Homotopy`` adds the source and target complexes; ``ChainMap`` is a
   homotopy whose dF + Fd vanishes, checked at construction.
 * ``mapping_cone`` and ``iterated_mapping_cone`` -- the one- and two-step
-  cone constructions. The latter takes (f1, f2, H1) with
-  d3 H1 + H1 d1 = f2 f1 and is the cone of the comparison map
-  g = (f2, H1): cone(f1) -> C3, built in one place.
+  cones, built by ``_cone``, whose d^2 check proves the coned map a chain
+  map. The latter is the cone of g = (f2, H1): cone(f1) -> C3; f2's own check
+  and that of d3 H1 + H1 d1 = f2 f1 prove g a chain map, so the triangle
+  path keeps g and the cone projection as unchecked ``Homotopy`` objects.
 * ``triangle_detect`` -- decides whether the iterated cone is acyclic from
   g_* alone (the long exact sequence of cone(g) gives its homology) and,
   when it is, emits the induced exact triangle on homology, including the
@@ -30,15 +31,15 @@ integer degrees. The pieces:
   ``random_filtered_complex`` -- seeded generators of valid inputs, built
   from dots and two-term intervals in a scrambled basis.
 * JSON readers and writers for complexes, chain maps, triangle bundles and
-  filtered complexes. The readers check each container's type and name its
-  path (say ``f1.blocks.0``) when it is wrong.
+  filtered complexes. The readers check each container's type and each matrix
+  row, and name the path (say ``f1.blocks.0``) when one is wrong.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .gf2 import ContractError, F2Matrix, _unpack
 
@@ -108,7 +109,7 @@ class GradedComplex:
                 clean_d[k] = m
         object.__setattr__(self, "dims", clean_dims)
         object.__setattr__(self, "d", clean_d)
-        for k in list(clean_d) + [k + 1 for k in clean_d]:
+        for k in sorted(set(clean_d) | {k + 1 for k in clean_d}):
             if not self.d_at(k - 1).mul(self.d_at(k)).is_zero():
                 raise ValueError(f"d^2 != 0 at degree {k}")
 
@@ -378,39 +379,31 @@ def check_exact_triangle(
 
 
 def induced_map(
-    f: ChainMap,
+    f: Homotopy,
     source_index: Optional[_HomologyIndex] = None,
     target_index: Optional[_HomologyIndex] = None,
 ) -> GradedMap:
-    """The map induced by a chain map on homology, as a GradedMap."""
+    """The map induced on homology, as a GradedMap, by a block map between
+    complexes that is a chain map; a cycle sent to a non-cycle raises ValueError."""
     hs = source_index or _HomologyIndex(f.source)
     ht = target_index or _HomologyIndex(f.target)
     blocks = {}
     for k, h in hs.at.items():
-        if not h.dim:
-            continue
         tgt_h = ht.at.get(k + f.degree)
-        tdim = tgt_h.dim if tgt_h else 0
+        if not h.dim or tgt_h is None:  # a block into a zero space has no rows
+            continue
         cols = []
         for rep in h.reps:
-            img = f.block_at(k).apply(rep)
-            if tgt_h is None:
-                if img:
-                    raise ValueError(
-                        f"image of a cycle lands outside the target window at degree {k}"
-                    )
-                cols.append(0)
-                continue
-            cls = tgt_h.class_of(img)
+            cls = tgt_h.class_of(f.block_at(k).apply(rep))
             if cls is None:
                 raise ValueError(f"chain map sent a cycle to a non-cycle at degree {k}")
             cols.append(cls)
-        rows = [0] * tdim
+        rows = [0] * tgt_h.dim
         for j, cmask in enumerate(cols):
-            for i in range(tdim):
+            for i in range(tgt_h.dim):
                 if (cmask >> i) & 1:
                     rows[i] |= 1 << j
-        blocks[k] = F2Matrix(tdim, h.dim, rows)
+        blocks[k] = F2Matrix(tgt_h.dim, h.dim, rows)
     return GradedMap(hs.dims(), ht.dims(), f.degree, blocks)
 
 
@@ -419,14 +412,9 @@ def induced_map(
 # ---------------------------------------------------------------------------
 
 
-def mapping_cone(f: ChainMap) -> tuple[GradedComplex, ChainMap, ChainMap]:
-    """Cone of a degree-0 chain map f: C1 -> C2.
-
-    Returns (cone, inclusion of C2, projection to C1). The C1 summand sits
-    with a +1 homological shift: cone_k = C2_k + C1_{k-1}, differential
-    [[d2, f], [0, d1]]; the projection has degree -1. The short exact
-    sequence 0 -> C2 -> cone -> C1[1] -> 0 holds on the nose.
-    """
+def _cone(f: Homotopy) -> tuple[GradedComplex, Homotopy]:
+    """``mapping_cone`` of a degree-0 block map, with its projection unchecked:
+    the projection commutes with the differentials by construction."""
     if f.degree != 0:
         raise ContractError(f"mapping_cone needs a degree-0 map, got degree {f.degree}")
     c1, c2 = f.source, f.target
@@ -443,18 +431,7 @@ def mapping_cone(f: ChainMap) -> tuple[GradedComplex, ChainMap, ChainMap]:
             col_dims=[c2.dim_at(k), c1.dim_at(k - 1)],
         )
     cone = GradedComplex(dims, d)
-    incl = ChainMap(
-        c2,
-        cone,
-        {
-            k: F2Matrix.vstack(
-                [F2Matrix.identity(c2.dim_at(k)), F2Matrix.zero(c1.dim_at(k - 1), c2.dim_at(k))]
-            )
-            for k in c2.dims
-        },
-        degree=0,
-    )
-    proj = ChainMap(
+    proj = Homotopy(
         cone,
         c1,
         {
@@ -466,11 +443,35 @@ def mapping_cone(f: ChainMap) -> tuple[GradedComplex, ChainMap, ChainMap]:
         },
         degree=-1,
     )
-    return cone, incl, proj
+    return cone, proj
+
+
+def mapping_cone(f: ChainMap) -> tuple[GradedComplex, ChainMap, ChainMap]:
+    """Cone of a degree-0 chain map f: C1 -> C2.
+
+    Returns (cone, inclusion of C2, projection to C1). The C1 summand sits
+    with a +1 homological shift: cone_k = C2_k + C1_{k-1}, differential
+    [[d2, f], [0, d1]]; the projection has degree -1. The short exact
+    sequence 0 -> C2 -> cone -> C1[1] -> 0 holds on the nose.
+    """
+    cone, proj = _cone(f)
+    c1, c2 = f.source, f.target
+    incl = ChainMap(
+        c2,
+        cone,
+        {
+            k: F2Matrix.vstack(
+                [F2Matrix.identity(c2.dim_at(k)), F2Matrix.zero(c1.dim_at(k - 1), c2.dim_at(k))]
+            )
+            for k in c2.dims
+        },
+        degree=0,
+    )
+    return cone, incl, ChainMap(cone, c1, proj.blocks, degree=-1)
 
 
 def _check_homotopy_identity(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> None:
-    if f1.degree or f2.degree:
+    if f1.degree or f2.degree or not (isinstance(f1, ChainMap) and isinstance(f2, ChainMap)):
         raise ContractError("iterated cone data needs degree-0 chain maps")
     if h1.degree != 1:
         raise ContractError(f"the connecting homotopy must have degree +1, got {h1.degree}")
@@ -486,16 +487,16 @@ def _check_homotopy_identity(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> None:
             )
 
 
-def _comparison_map(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> tuple[ChainMap, ChainMap]:
+def _comparison_map(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> tuple[Homotopy, Homotopy]:
     """The projection cone(f1) -> C1 and the comparison map g = (f2, H1): cone(f1) -> C3.
 
-    g is a chain map exactly when d3*H1 + H1*d1 = f2*f1, so that identity is
-    checked first and a bad homotopy raises its error, not g's.
+    The projection is a chain map by construction, and g is one exactly when
+    d3*H1 + H1*d1 = f2*f1; that identity is checked here, so neither map is.
     """
     _check_homotopy_identity(f1, f2, h1)
-    cone1, _incl, proj = mapping_cone(f1)
+    cone1, proj = _cone(f1)
     g_blocks = {k: F2Matrix.hstack([f2.block_at(k), h1.block_at(k - 1)]) for k in cone1.dims}
-    return proj, ChainMap(cone1, f2.target, g_blocks)
+    return proj, Homotopy(cone1, f2.target, g_blocks, degree=0)
 
 
 def iterated_mapping_cone(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> GradedComplex:
@@ -505,7 +506,7 @@ def iterated_mapping_cone(f1: ChainMap, f2: ChainMap, h1: Homotopy) -> GradedCom
     [[d3, f2, H1], [0, d2, f1], [0, 0, d1]]: the cone of the comparison map
     g = (f2, H1): cone(f1) -> C3.
     """
-    return mapping_cone(_comparison_map(f1, f2, h1)[1])[0]
+    return _cone(_comparison_map(f1, f2, h1)[1])[0]
 
 
 @dataclass(frozen=True)
@@ -1062,27 +1063,34 @@ def _require(data, path: str, kind: type = Mapping):
     return data
 
 
+def _matrices_from_json(data, path: str, width: Callable[[int], int]) -> dict[int, F2Matrix]:
+    """The object of matrices at ``path``, keyed by degree. Each is an array of
+    ``width(degree)``-wide arrays of 0/1 entries; errors name its path."""
+    out = {}
+    for key, rows in _require(data, path).items():
+        k, at = int(key), f"{path}.{key}"
+        for i, row in enumerate(_require(rows, at, list)):
+            if not isinstance(row, list):
+                _require(row, f"{at}: row {i}", list)
+        try:
+            out[k] = F2Matrix.from_rows(rows, cols=width(k))
+        except ContractError as e:
+            raise ContractError(f"{at}: {e}") from None
+    return out
+
+
 def complex_from_json(data: Mapping, path: str = "") -> GradedComplex:
     """Read a complex; ``path`` locates ``data`` in its document for error messages."""
     _require(data, path or "complex")
     dims = {int(k): int(n) for k, n in _require(data.get("dims", {}), _at(path, "dims")).items()}
-    d = {}
-    for key, rows in _require(data.get("d", {}), _at(path, "d")).items():
-        k = int(key)
-        d[k] = F2Matrix.from_rows(_require(rows, _at(path, f"d.{key}"), list), cols=dims.get(k, 0))
+    d = _matrices_from_json(data.get("d", {}), _at(path, "d"), lambda k: dims.get(k, 0))
     return GradedComplex(dims, d)
 
 
 def _blocks_from_json(data: Mapping, path: str, source: GradedComplex) -> dict[int, F2Matrix]:
     """The ``blocks`` of the map document at ``path``, each as wide as its source degree."""
     _require(data, path)
-    blocks = {}
-    for key, rows in _require(data.get("blocks", {}), f"{path}.blocks").items():
-        k = int(key)
-        blocks[k] = F2Matrix.from_rows(
-            _require(rows, f"{path}.blocks.{key}", list), cols=source.dim_at(k)
-        )
-    return blocks
+    return _matrices_from_json(data.get("blocks", {}), f"{path}.blocks", source.dim_at)
 
 
 def chain_map_from_json(

@@ -18,14 +18,16 @@ __all__ = ["ContractError", "F2Matrix"]
 
 
 class ContractError(ValueError):
-    """Shape mismatch between operands; the message names both shapes."""
+    """A broken contract, such as mismatched shapes or an entry other than 0 or 1."""
 
 
-def _pack(row: Sequence[int]) -> int:
+def _pack(row: Sequence[int], i: int) -> int:
+    """Row ``i`` as a word; each entry must be the int 0 or 1."""
     bits = 0
     for j, v in enumerate(row):
-        if int(v) & 1:
-            bits |= 1 << j
+        if v.__class__ is not int or v >> 1:
+            raise ContractError(f"row {i}, column {j} is {v!r}, must be 0 or 1")
+        bits |= v << j
     return bits
 
 
@@ -80,7 +82,7 @@ class F2Matrix:
                 raise ContractError(
                     f"ragged rows: expected width {cols}, got {len(r)}"
                 )
-        return cls(len(rows), cols, (_pack(r) for r in rows))
+        return cls(len(rows), cols, [_pack(r, i) for i, r in enumerate(rows)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":

@@ -87,6 +87,18 @@ def test_knot_correction_validation_error(capsys):
     assert "error: validation:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_knot_correction_rejects_a_slope_other_than_one(capsys, json_flag):
+    rc = main(
+        ["knot", "correction", "--alexander", "-1;1", "--signature", "-2",
+         "--surgery", "2", *json_flag]
+    )
+    assert rc == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "error: validation: surgery slope must be +1 or -1, got 2" in cap.err
+
+
 def test_knot_correction_usage_error(capsys):
     rc = main(["knot", "correction", "--signature", "-2", "--surgery", "+1"])
     assert rc == 1
@@ -130,6 +142,16 @@ def test_knot_batch_bad_column(tmp_path, capsys, row, column, reason):
     err = capsys.readouterr().err
     assert f"knot 'k1': column '{column}' {reason}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_knot_batch_rejects_a_slope_other_than_one(tmp_path, capsys, json_flag):
+    p = tmp_path / "knots.csv"
+    p.write_text("name,signature,alexander,arf,surgery\nk1,-2,-1;1,1,2\n")
+    assert main(["knot", "batch", "--csv", str(p), *json_flag]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "knot 'k1': surgery slope must be +1 or -1, got 2" in cap.err
 
 
 def test_knot_batch_json_bad_third_row_writes_nothing(tmp_path, capsys):
@@ -259,8 +281,13 @@ def test_homalg_rejects_a_top_level_array(tmp_path, capsys, command, kind):
         ("triangle", {"c1": 5}, "c1 must be a JSON object"),
         ("ss", {"dims": [1]}, "dims must be a JSON object"),
         ("ss", {"dims": {"0": 1}, "d": {}, "levels": {"0": 5}}, "levels.0 must be a JSON array"),
+        (
+            "ss",
+            {"dims": {"0": 1, "1": 1}, "d": {"1": [5]}, "levels": {"0": [0], "1": [0]}},
+            "d.1: row 0 must be a JSON array, got int",
+        ),
     ],
-    ids=["triangle-complex", "ss-dims", "ss-levels"],
+    ids=["triangle-complex", "ss-dims", "ss-levels", "ss-row"],
 )
 def test_homalg_rejects_a_nested_container_of_the_wrong_type(tmp_path, capsys, command, doc, path):
     p = tmp_path / "doc.json"
@@ -269,6 +296,31 @@ def test_homalg_rejects_a_nested_container_of_the_wrong_type(tmp_path, capsys, c
     cap = capsys.readouterr()
     assert cap.out == ""
     assert f"error: validation: {path}" in cap.err
+
+
+@pytest.mark.parametrize("entry", [2, True, 0.5, "1"])
+def test_homalg_ss_rejects_a_matrix_entry_other_than_zero_or_one(tmp_path, capsys, entry):
+    p = tmp_path / "doc.json"
+    p.write_text(
+        json.dumps({"dims": {"0": 1, "1": 1}, "d": {"1": [[entry]]}, "levels": {"0": [0], "1": [0]}})
+    )
+    assert main(["homalg", "ss", "--file", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"error: validation: d.1: row 0, column 0 is {entry!r}, must be 0 or 1" in cap.err
+
+
+@pytest.mark.parametrize("part, field", [("c2", "d"), ("f1", "blocks"), ("h1", "blocks")])
+def test_homalg_triangle_names_the_matrix_of_a_bad_entry(tmp_path, capsys, part, field):
+    doc = triangle_bundle_to_json(*random_admissible_triple(random.Random(4), method="formula"))
+    key, rows = next((k, m) for k, m in doc[part][field].items() if m and m[0])
+    rows[0][0] = 2
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(doc))
+    assert main(["homalg", "triangle", "--file", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"error: validation: {part}.{field}.{key}: row 0, column 0 is 2, must be 0 or 1" in cap.err
 
 
 def test_homalg_ss_rejects_a_negative_dimension(tmp_path, capsys):

@@ -42,6 +42,7 @@ from pin2floer.complexes import (
     triangle_bundle_to_json,
     triangle_detect,
 )
+from pin2floer import complexes
 from pin2floer.complexes import _check_homotopy_identity, _HomologyIndex
 from pin2floer.gf2 import ContractError, F2Matrix
 
@@ -52,6 +53,16 @@ def test_complex_rejects_d_squared():
     ident = F2Matrix.identity(1)
     with pytest.raises(ValueError):
         GradedComplex({0: 1, 1: 1, 2: 1}, {1: ident, 2: ident})
+
+
+def test_complex_multiplies_each_pair_of_differentials_once(monkeypatch):
+    c = mainiso_toy_model().complex
+    assert sorted(c.d) == [1, 2, 3]
+    calls = []
+    mul = F2Matrix.mul
+    monkeypatch.setattr(F2Matrix, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    GradedComplex(c.dims, c.d)
+    assert len(calls) == len(set(c.d) | {k + 1 for k in c.d})
 
 
 def test_complex_rejects_bad_shape():
@@ -241,13 +252,29 @@ def _reference_iterated_cone(f1, f2, h1):
 def _reference_triangle_detect(f1, f2, h1):
     """triangle_detect as it was before it decided acyclicity from g_* alone:
     the homology of the iterated cone decides, and g_* is then inverted
-    under the assertion that an acyclic cone makes it an isomorphism."""
+    under the assertion that an acyclic cone makes it an isomorphism.
+
+    cone(f1), its projection and g are assembled here block by block, not
+    taken from the cone code under test, so that one wrong block there
+    cannot move both sides; each goes through a checked constructor."""
     big = _reference_iterated_cone(f1, f2, h1)
     c1, c2, c3 = f1.source, f1.target, f2.target
-    cone1, _incl, proj = mapping_cone(f1)
-    g_blocks = {}
+    ks = set(c2.dims) | {k + 1 for k in c1.dims}
+    ks |= {k + 1 for k in ks}
+    d = {}
+    for k in ks:
+        d[k] = F2Matrix.block(
+            [[c2.d_at(k), f1.block_at(k - 1)], [None, c1.d_at(k - 1)]],
+            row_dims=[c2.dim_at(k - 1), c1.dim_at(k - 2)],
+            col_dims=[c2.dim_at(k), c1.dim_at(k - 1)],
+        )
+    cone1 = GradedComplex({k: c2.dim_at(k) + c1.dim_at(k - 1) for k in ks}, d)
+    proj_blocks, g_blocks = {}, {}
     for k in cone1.dims:
+        n1, n2 = c1.dim_at(k - 1), c2.dim_at(k)
+        proj_blocks[k] = F2Matrix.hstack([F2Matrix.zero(n1, n2), F2Matrix.identity(n1)])
         g_blocks[k] = F2Matrix.hstack([f2.block_at(k), h1.block_at(k - 1)])
+    proj = ChainMap(cone1, c1, proj_blocks, degree=-1)
     g = ChainMap(cone1, c3, g_blocks, degree=0)
 
     h_big = homology(big)
@@ -313,6 +340,50 @@ def test_bench_seed_one_triangles_match_reference(monkeypatch):
         for doc in docs
     }
     assert verdicts == {NotAcyclic, Triangle}
+
+
+def _bench_seed_one_bundles(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs, _expected, _props = importlib.import_module("gen").make_homalg_inputs(1)
+    return [triangle_bundle_from_json(item["doc"]) for item in inputs if item["kind"] != "ss"]
+
+
+def test_triangle_detect_proves_each_identity_once(monkeypatch):
+    # f1 and f2 were checked when they were read, and the homotopy identity
+    # makes g a chain map: no ChainMap is built again, and dH + Hd runs only
+    # for the identity, once per degree it visits
+    bundles = _bench_seed_one_bundles(monkeypatch)
+    calls = {"ChainMap": 0, "_dh": 0}
+    init, dh = ChainMap.__init__, complexes._dh
+
+    def counting_init(self, *args, **kwargs):
+        calls["ChainMap"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_dh(h, k):
+        calls["_dh"] += 1
+        return dh(h, k)
+
+    monkeypatch.setattr(ChainMap, "__init__", counting_init)
+    monkeypatch.setattr(complexes, "_dh", counting_dh)
+    for bundle in bundles:
+        triangle_detect(*bundle)
+    visited = sum(len(set(f1.source.dims) | {k + 1 for k in f1.source.dims}) for f1, _, _ in bundles)
+    assert calls == {"ChainMap": 0, "_dh": visited}
+
+
+def test_triangle_detect_needs_chain_maps():
+    f1, f2, h1 = random_admissible_triple(random.Random(5), (0, 1, 2), method="formula")
+    unchecked = Homotopy(f2.source, f2.target, f2.blocks, degree=0)
+    with pytest.raises(ContractError, match="needs degree-0 chain maps"):
+        triangle_detect(f1, unchecked, h1)
+
+
+def test_induced_map_rejects_a_cycle_sent_to_a_non_cycle():
+    ident = F2Matrix.identity(1)
+    dot, interval = GradedComplex({1: 1}, {}), GradedComplex({0: 1, 1: 1}, {1: ident})
+    with pytest.raises(ValueError, match="sent a cycle to a non-cycle at degree 1"):
+        induced_map(Homotopy(dot, interval, {1: ident}, degree=0))
 
 
 def test_induced_map_of_identity():

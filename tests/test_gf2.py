@@ -29,6 +29,12 @@ def test_ragged_rows_rejected():
         F2Matrix.from_rows([[1, 0], [1]])
 
 
+@pytest.mark.parametrize("entry", [2, -1, True, 1.0, "1", None])
+def test_entries_must_be_the_ints_zero_or_one(entry):
+    with pytest.raises(ContractError, match=r"^row 1, column 2 is .+, must be 0 or 1$"):
+        F2Matrix.from_rows([[0, 1, 0], [1, 0, entry]])
+
+
 def test_identity_and_zero():
     assert F2Matrix.identity(3).rank() == 3
     assert F2Matrix.zero(2, 5).is_zero()
