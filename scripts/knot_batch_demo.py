@@ -57,10 +57,10 @@ def main(argv=None) -> int:
             tag = " (parity only)" if level.parity_only else ""
             print(f"   0-surgery s={level.s}: {describe_module(level.module)}{tag}")
         print(f"   +1-surgery: {describe_module(hm_plus_one_surgery(kd))}")
-        res = correction_terms(kd, slope)
-        verdict = "agrees with table" if res.agree else "MISMATCH"
-        print(f"   {slope:+d}-surgery correction terms: {res.ct}  [{verdict}]")
-        obs = seifert_obstruction(res.ct)
+        # correction_terms raises PipelineMismatch unless the table agrees
+        ct = correction_terms(kd, slope)
+        print(f"   {slope:+d}-surgery correction terms: {ct}  [agrees with table]")
+        obs = seifert_obstruction(ct)
         if obs.obstructed:
             print(f"   obstruction: {obs.detail}")
         print()

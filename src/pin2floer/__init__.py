@@ -59,7 +59,6 @@ from .modules import (
 from .surgery import (
     BarTowers,
     CatalogEntry,
-    CorrectionComputation,
     KnotData,
     KnotError,
     PipelineMismatch,

@@ -269,18 +269,20 @@ def _parse_alexander(text: str) -> tuple[int, ...]:
 
 def _knot_report(kd: KnotData, slope: int) -> dict:
     """One knot's JSON report, less the "hm_plus_one" module, which only the
-    JSON output prints."""
-    res = correction_terms(kd, slope)
+    JSON output prints. ``correction_terms`` raises unless the pipeline and
+    the table agree, so "table" and "agree" restate the one checked triple."""
+    ct = correction_terms(kd, slope)
+    terms = _ct_json(ct)
     return {
         "name": kd.name,
         "sigma": kd.signature,
         "arf": kd.arf,
         "mirrored": kd.mirrored,
         "surgery": slope,
-        "hs_towers": _ct_json(res.ct),
-        "table": _ct_json(res.table),
-        "agree": res.agree,
-        "obstructed": seifert_obstruction(res.ct).obstructed,
+        "hs_towers": terms,
+        "table": terms,
+        "agree": True,
+        "obstructed": seifert_obstruction(ct).obstructed,
     }
 
 
@@ -301,8 +303,7 @@ def _cmd_knot_correction(args) -> int:
         rep["hm_plus_one"] = module_to_json(hm_plus_one_surgery(kd))
         _emit_json(rep)
         return 0
-    res = correction_terms(kd, args.surgery)
-    print(_ct_line(res.ct))
+    print(_ct_line(correction_terms(kd, args.surgery)))
     return 0
 
 

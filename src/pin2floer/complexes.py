@@ -1063,12 +1063,28 @@ def _require(data, path: str, kind: type = Mapping):
     return data
 
 
+def _json_int(x, path: str) -> int:
+    """``x``, or a ValueError naming ``path`` unless it is a JSON integer (a bool is not)."""
+    if type(x) is not int:
+        raise ValueError(f"{path} must be a JSON integer, got {type(x).__name__}")
+    return x
+
+
+def _by_degree(data, path: str):
+    """(degree, value, path of the value) for each entry of the object at ``path``."""
+    for key, value in _require(data, path).items():
+        try:
+            k = int(key)
+        except ValueError:
+            raise ValueError(f"{path}: key {key!r} is not an integer degree") from None
+        yield k, value, f"{path}.{key}"
+
+
 def _matrices_from_json(data, path: str, width: Callable[[int], int]) -> dict[int, F2Matrix]:
     """The object of matrices at ``path``, keyed by degree. Each is an array of
     ``width(degree)``-wide arrays of 0/1 entries; errors name its path."""
     out = {}
-    for key, rows in _require(data, path).items():
-        k, at = int(key), f"{path}.{key}"
+    for k, rows, at in _by_degree(data, path):
         for i, row in enumerate(_require(rows, at, list)):
             if not isinstance(row, list):
                 _require(row, f"{at}: row {i}", list)
@@ -1082,7 +1098,8 @@ def _matrices_from_json(data, path: str, width: Callable[[int], int]) -> dict[in
 def complex_from_json(data: Mapping, path: str = "") -> GradedComplex:
     """Read a complex; ``path`` locates ``data`` in its document for error messages."""
     _require(data, path or "complex")
-    dims = {int(k): int(n) for k, n in _require(data.get("dims", {}), _at(path, "dims")).items()}
+    entries = _by_degree(data.get("dims", {}), _at(path, "dims"))
+    dims = {k: _json_int(n, at) for k, n, at in entries}
     d = _matrices_from_json(data.get("d", {}), _at(path, "d"), lambda k: dims.get(k, 0))
     return GradedComplex(dims, d)
 
@@ -1097,7 +1114,8 @@ def chain_map_from_json(
     data: Mapping, source: GradedComplex, target: GradedComplex, path: str = "map"
 ) -> ChainMap:
     blocks = _blocks_from_json(data, path, source)
-    return ChainMap(source, target, blocks, degree=int(data.get("degree", 0)))
+    degree = _json_int(data.get("degree", 0), f"{path}.degree")
+    return ChainMap(source, target, blocks, degree=degree)
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
@@ -1116,8 +1134,8 @@ def filtered_to_json(fc: FilteredComplex) -> dict:
 def filtered_from_json(data: Mapping) -> FilteredComplex:
     cx = complex_from_json(_require(data, "filtered complex"))
     levels = {
-        int(k): tuple(_require(v, f"levels.{k}", list))
-        for k, v in _require(data.get("levels", {}), "levels").items()
+        k: tuple(_json_int(x, f"{at}: level {i}") for i, x in enumerate(_require(v, at, list)))
+        for k, v, at in _by_degree(data.get("levels", {}), "levels")
     }
     return FilteredComplex(cx, levels)
 

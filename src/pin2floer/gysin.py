@@ -202,6 +202,8 @@ class GysinCandidate:
 
 @dataclass(frozen=True)
 class GysinSolution:
+    """``oracle_solve``'s candidates; ``unique`` means unique under its box rule."""
+
     candidates: tuple[GysinCandidate, ...]
     unique: bool
     window: tuple[int, int]
@@ -283,7 +285,12 @@ def oracle_solve(
     has box summands. This is a rule of the search, not a consequence of
     the recurrence: for T^+_{-6} + F_{-14}, S(-2, -2, -2) with F in each
     degree -14..-6 passes ``feasibility_check`` in this search's window, yet
-    is not reported. Whether such candidates are Pin(2) modules is open.
+    is not reported. The rule decides answers: T^+_0 (S^3) gets S(0, 0, 0)
+    alone, yet S(2, 2, 2) + F_0 + F_1 + F_2 is certified in the same window,
+    as boxes below towers started 4 higher show the lower towers' dims and
+    Q-ranks, and the recurrence does not see V. So ``unique`` means unique
+    under this rule, and the +1-surgery correction terms rest on it.
+    Whether such candidates are Pin(2) modules is open.
 
     Survivors must lock onto the periodic template at the top, and each
     keeps the feasibility_check certificate of its DFS leaf. Raises

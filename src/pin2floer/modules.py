@@ -354,6 +354,34 @@ def direct_sum(*mods: StructuredModule) -> StructuredModule:
 
 
 @dataclass(frozen=True)
+class CorrectionTerms:
+    """The (alpha, beta, gamma) triple: ordered, equal fractional parts."""
+
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+
+    def __post_init__(self):
+        a, b, g = (as_grading(v) for v in (self.alpha, self.beta, self.gamma))
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "gamma", g)
+        if not (a >= b >= g):
+            raise ValueError(f"correction terms must be ordered: {a} >= {b} >= {g} fails")
+        if not (_is_int(a - b) and _is_int(b - g)):
+            raise ValueError("correction terms must share one fractional part")
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
+        return (self.alpha, self.beta, self.gamma)
+
+    def __str__(self) -> str:
+        return (
+            f"({format_grading(self.alpha)}, {format_grading(self.beta)}, "
+            f"{format_grading(self.gamma)})"
+        )
+
+
+@dataclass(frozen=True)
 class StandardModule:
     """Three step-4 plus towers in a Q-chain, named by correction terms.
 
@@ -361,9 +389,9 @@ class StandardModule:
     the c-tower into the b-tower and the b-tower into the a-tower. For those
     links to be grading-compatible (Q has degree -1, towers have step 4) the
     starts must satisfy b = a+1 and c = b+1 mod 4, i.e. alpha - beta and
-    beta - gamma are even. The ordering alpha >= beta >= gamma is required,
-    and the three starts must be integers (ValueError names the first that
-    is not); ``tower_starts`` returns them as ints.
+    beta - gamma are even. The triple is built and checked once, as a
+    ``CorrectionTerms``; the three starts must be integers (ValueError names
+    the first that is not); ``tower_starts`` returns them as ints.
     """
 
     alpha: Fraction
@@ -371,18 +399,15 @@ class StandardModule:
     gamma: Fraction
 
     def __post_init__(self):
-        a = as_grading(self.alpha)
-        b = as_grading(self.beta)
-        g = as_grading(self.gamma)
+        ct = CorrectionTerms(self.alpha, self.beta, self.gamma)
+        a, b, g = ct.as_tuple()
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", g)
-        if not (a >= b >= g):
-            raise ValueError(f"correction terms must be ordered: {a} >= {b} >= {g} fails")
+        object.__setattr__(self, "_ct", ct)
         gaps = []
-        for hi_, lo_, name in ((a, b, "alpha-beta"), (b, g, "beta-gamma")):
-            d = hi_ - lo_
-            if not _is_int(d) or d.numerator % 2:
+        for d, name in ((a - b, "alpha-beta"), (b - g, "beta-gamma")):
+            if d.numerator % 2:
                 raise ValueError(
                     f"{name} difference {d} must be an even integer for the "
                     "Q-links between towers to be grading-compatible"
@@ -423,37 +448,9 @@ def standard_from_starts(a: GradingLike, b: GradingLike, c: GradingLike) -> Stan
     return StandardModule(Fraction(a, 2), Fraction(b - 1, 2), Fraction(c - 2, 2))
 
 
-@dataclass(frozen=True)
-class CorrectionTerms:
-    """The (alpha, beta, gamma) triple: ordered, equal fractional parts."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-
-    def __post_init__(self):
-        a, b, g = (as_grading(v) for v in (self.alpha, self.beta, self.gamma))
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", g)
-        if not (a >= b >= g):
-            raise ValueError(f"correction terms must be ordered: {a} >= {b} >= {g} fails")
-        if not (_is_int(a - b) and _is_int(b - g)):
-            raise ValueError("correction terms must share one fractional part")
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.alpha, self.beta, self.gamma)
-
-    def __str__(self) -> str:
-        return (
-            f"({format_grading(self.alpha)}, {format_grading(self.beta)}, "
-            f"{format_grading(self.gamma)})"
-        )
-
-
 def correction_terms_of(s: StandardModule) -> CorrectionTerms:
-    """Read the correction terms off a standard module."""
-    return CorrectionTerms(s.alpha, s.beta, s.gamma)
+    """The correction terms a standard module built and checked once."""
+    return s._ct
 
 
 def reverse_orientation(ct: CorrectionTerms) -> CorrectionTerms:

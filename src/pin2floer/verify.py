@@ -340,7 +340,7 @@ def _grp_worked_branch() -> list[Row]:
             "worked/fig8-minus-one",
             "two-sided-model",
             "(1, 1, -1)",
-            correction_terms(fig8, -1).ct,
+            correction_terms(fig8, -1),
         )
     )
     mirror = validate_knot("mirror-trefoil", 2, (-1, 1))
@@ -349,7 +349,7 @@ def _grp_worked_branch() -> list[Row]:
             "worked/mirror-trefoil-minus-one",
             "two-sided-model",
             "(1, 1, 1)",
-            correction_terms(mirror, -1).ct,
+            correction_terms(mirror, -1),
         )
     )
     return rows

@@ -323,6 +323,46 @@ def test_homalg_triangle_names_the_matrix_of_a_bad_entry(tmp_path, capsys, part,
     assert f"error: validation: {part}.{field}.{key}: row 0, column 0 is 2, must be 0 or 1" in cap.err
 
 
+_ONE_VECTOR = {"dims": {"0": 1}, "d": {}, "levels": {"0": [0]}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_ONE_VECTOR, "dims": {"0": 1.5}}, "dims.0 must be a JSON integer, got float"),
+        ({**_ONE_VECTOR, "dims": {"0": True}}, "dims.0 must be a JSON integer, got bool"),
+        (
+            {**_ONE_VECTOR, "levels": {"0": [0.5]}},
+            "levels.0: level 0 must be a JSON integer, got float",
+        ),
+        ({**_ONE_VECTOR, "dims": {"x": 1}}, "dims: key 'x' is not an integer degree"),
+        ({**_ONE_VECTOR, "d": {"1.0": []}}, "d: key '1.0' is not an integer degree"),
+        ({**_ONE_VECTOR, "levels": {"zero": [0]}}, "levels: key 'zero' is not an integer degree"),
+    ],
+    ids=["dim-float", "dim-bool", "level-float", "dims-key", "d-key", "levels-key"],
+)
+def test_homalg_ss_requires_json_integers(tmp_path, capsys, doc, message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert main(["homalg", "ss", "--file", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert f"error: validation: {message}" in cap.err
+
+
+@pytest.mark.parametrize("part, degree", [("f1", 0.7), ("f2", True), ("f1", "0")])
+def test_homalg_triangle_requires_an_integer_map_degree(tmp_path, capsys, part, degree):
+    doc = triangle_bundle_to_json(*random_admissible_triple(random.Random(4), method="formula"))
+    doc[part]["degree"] = degree
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(doc))
+    assert main(["homalg", "triangle", "--file", str(p)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    kind = type(degree).__name__
+    assert f"error: validation: {part}.degree must be a JSON integer, got {kind}" in cap.err
+
+
 def test_homalg_ss_rejects_a_negative_dimension(tmp_path, capsys):
     p = tmp_path / "neg.json"
     p.write_text(json.dumps({"dims": {"0": -1}, "d": {}, "levels": {"0": []}}))

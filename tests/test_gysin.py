@@ -29,11 +29,13 @@ from pin2floer.gysin import (
 )
 from pin2floer.modules import (
     Box,
+    CorrectionTerms,
     StandardModule,
     StructuredModule,
     F_box,
     T_plus,
     _standard_structured,
+    correction_terms_of,
     degree_kernel,
     direct_sum,
     format_grading,
@@ -423,3 +425,23 @@ def test_box_placement_is_a_search_rule_not_a_consequence():
         assert isinstance(feasibility_check(m, cand, window=window), GysinCertificate)
     with pytest.raises(GysinError, match=r"^no feasible Gysin partner in window \[-18, 6\]$"):
         oracle_solve(m)
+
+
+@pytest.mark.parametrize(
+    "known, reported, other, box_degrees, window",
+    [
+        # S^3, whose partner S(0, 0, 0) has towers from 0, 1 and 2
+        (T_plus(0), (0, 0, 0), (2, 2, 2), (0, 1, 2), (-4, 12)),
+        # the +1-surgery core of sigma = -8, Arf 0
+        (T_plus(-4), (-2, -2, -2), (0, 0, 0), (-4, -3, -2), (-8, 8)),
+    ],
+    ids=["S3", "sigma-8-arf0"],
+)
+def test_the_box_rule_decides_a_unique_partner(known, reported, other, box_degrees, window):
+    # boxes below towers started 4 higher have the dimensions and Q-ranks of
+    # the lower towers; only V, which the recurrence does not see, tells them apart
+    sol = oracle_solve(known)
+    assert sol.unique and sol.window == window
+    assert correction_terms_of(sol.candidates[0].standard) == CorrectionTerms(*reported)
+    cand = StandardModule(*other).to_structured(tuple(Box(d, 1) for d in box_degrees))
+    assert isinstance(feasibility_check(known, cand, window=window), GysinCertificate)

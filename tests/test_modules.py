@@ -343,6 +343,21 @@ def test_correction_terms_of_standard():
     )
 
 
+def test_a_standard_module_checks_and_keeps_one_triple():
+    s = StandardModule("1/2", Fraction(-3, 2), Fraction(-3, 2))
+    assert correction_terms_of(s) is correction_terms_of(s)
+    assert correction_terms_of(s).as_tuple() == (s.alpha, s.beta, s.gamma)
+    # CorrectionTerms checks the order and the shared fractional part, the
+    # standard module only the evenness of the differences
+    for terms, message in (
+        ((0, 2, 0), "must be ordered"),
+        ((1, Fraction(1, 2), 0), "must share one fractional part"),
+        ((1, 0, 0), "alpha-beta difference 1 must be an even integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            StandardModule(*terms)
+
+
 # -- parity classifier ---------------------------------------------------------
 
 

@@ -23,7 +23,10 @@ from pin2floer.modules import (
     StructuredModule,
     F_box,
     T_plus,
+    correction_terms_of,
     dims,
+    reverse_orientation,
+    standard_from_starts,
 )
 from pin2floer.gysin import GysinError, oracle_solve
 from pin2floer.surgery import (
@@ -337,6 +340,34 @@ def test_bar_towers_arf0_requires_congruences():
         zero_surgery_bar_towers(StandardModule(1, -1, -1), arf=0)
 
 
+@pytest.mark.parametrize("arf", [0, 1])
+def test_bar_audits_see_tower_bases_only_mod_four(monkeypatch, arf):
+    # a two-sided step-4 tower has F in every degree of its base's class mod
+    # 4, so answers shifted by 4 in every start pass the same audits: only
+    # the table check pins the absolute -1 answer
+    seen = []
+    real = surgery._verify_bar_triangle
+
+    def record(*args):
+        seen.append(args)
+        real(*args)
+
+    monkeypatch.setattr(surgery, "_verify_bar_triangle", record)
+    for sigma in range(0, -40, -2):
+        plus = plus_one_from_signature(sigma, arf).standard
+        zero_surgery_bar_towers.__wrapped__(
+            StandardModule(plus.alpha + 2, plus.beta + 2, plus.gamma + 2), arf
+        )
+        minus = minus_one_towers.__wrapped__(zero_surgery_bar_towers(plus, arf))
+        (quad, s_bar, abc), pairs, degrees, label = seen[-1]
+        assert abc == minus.tower_starts()
+        for shift in (4, -4, 8):
+            starts = tuple(x + shift for x in abc)
+            real((quad, s_bar, starts), pairs, degrees, label)
+            shifted = correction_terms_of(standard_from_starts(*starts))
+            assert shifted != table_correction_terms(sigma, arf, -1)
+
+
 # -- cached triangle checks -----------------------------------------------------------
 
 
@@ -632,19 +663,53 @@ def test_period_audit_matches_window_audit_on_bench_seed_one(tmp_path, monkeypat
 
 def test_correction_terms_trefoil_both_slopes():
     kd = _knot("trefoil", TREFOIL)
-    plus = correction_terms(kd, 1)
-    assert plus.agree
-    assert plus.ct == CorrectionTerms(-1, -1, -1)
-    minus = correction_terms(kd, -1)
-    assert minus.agree
-    assert minus.ct == CorrectionTerms(1, -1, -1)
+    for slope, want in ((1, CorrectionTerms(-1, -1, -1)), (-1, CorrectionTerms(1, -1, -1))):
+        assert correction_terms(kd, slope) == want == table_correction_terms(-2, 1, slope)
 
 
 def test_correction_terms_mirror_reverses():
-    kd = validate_knot("mirror-trefoil", 2, (-1, 1))
-    res = correction_terms(kd, -1)
-    assert res.mirror_reversed
-    assert res.ct == CorrectionTerms(1, 1, 1)
+    mirror = validate_knot("mirror-trefoil", 2, (-1, 1))
+    assert mirror.mirrored
+    ct = correction_terms(mirror, -1)
+    assert ct == CorrectionTerms(1, 1, 1)
+    assert ct == reverse_orientation(correction_terms(_knot("trefoil", TREFOIL), 1))
+
+
+def test_a_pipeline_table_mismatch_raises_and_reports_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(surgery, "table_correction_terms", lambda *args: CorrectionTerms(0, 0, 0))
+    with pytest.raises(PipelineMismatch, match=r"gives \(-1, -1, -1\) .* says \(0, 0, 0\)$"):
+        correction_terms(_knot("trefoil", TREFOIL), 1)
+    argv = ["knot", "correction", "--alexander", "-1;1", "--signature", "-2", "--surgery", "+1"]
+    assert cli.main([*argv, "--json"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: mismatch: pipeline gives (-1, -1, -1)")
+
+
+def test_each_knot_reads_its_levels_once(monkeypatch):
+    calls = []
+    real = surgery.b_coefficient
+
+    def counted(kd, s):
+        calls.append((kd, s))  # keeps each knot alive, so ids stay distinct
+        return real(kd, s)
+
+    monkeypatch.setattr(surgery, "b_coefficient", counted)
+    mirrors = (dict(signature=2, alexander=(-1, 1)), dict(signature=4, alexander=(1, -1, 1)))
+    for i, spec in enumerate((TREFOIL, FIG8, T25, *mirrors)):
+        kd = _knot(f"k{i}", spec)
+        for slope in (1, -1):
+            correction_terms(kd, slope)
+        hm_zero_surgery(kd)
+        hm_plus_one_surgery(kd)
+        hs_plus_one_surgery(kd)
+    per_knot = {}
+    for kd, s in calls:
+        per_knot.setdefault(id(kd), []).append(s)
+    # five validated knots, and a fresh unmirrored copy per mirrored call
+    assert len(per_knot) == 5 + 2 * 2
+    for kd, _s in calls:
+        assert per_knot[id(kd)] == list(range(len(kd._levels)))
 
 
 def test_correction_terms_bad_slope():
